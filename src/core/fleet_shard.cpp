@@ -420,13 +420,41 @@ void shard_engine::sync_position(std::size_t vehicle) {
   }
 }
 
+void shard_engine::schedule_event(double at, event::kind type,
+                                  std::size_t index, std::size_t from,
+                                  std::size_t to) {
+  constexpr std::size_t max_index = std::numeric_limits<std::uint32_t>::max();
+  VTM_ASSERT(index <= max_index && from <= max_index && to <= max_index);
+  queue_.schedule(at, event{type, static_cast<std::uint32_t>(index),
+                            static_cast<std::uint32_t>(from),
+                            static_cast<std::uint32_t>(to)});
+}
+
+void shard_engine::dispatch(const event& e) {
+  switch (e.type) {
+    case event::kind::arrive:
+      schedule_next_handover(e.index);
+      return;
+    case event::kind::handover:
+      sync_position(e.index);
+      on_handover(e.index, e.from, e.to);
+      return;
+    case event::kind::clear:
+      run_clearing(e.index);
+      return;
+    case event::kind::finish:
+      finish_migration(e.index);
+      return;
+  }
+}
+
 void shard_engine::adopt(std::size_t vehicle) {
   schedule_next_handover(vehicle);
 }
 
 void shard_engine::inject(std::size_t vehicle, double at) {
   VTM_EXPECTS(at >= queue_.now());
-  queue_.schedule(at, [this, vehicle] { schedule_next_handover(vehicle); });
+  schedule_event(at, event::kind::arrive, vehicle);
 }
 
 void shard_engine::schedule_next_handover(std::size_t vehicle) {
@@ -458,11 +486,8 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
                                    when});
     return;
   }
-  queue_.schedule(when, [this, vehicle, from = next->from_rsu,
-                         to = next->to_rsu] {
-    sync_position(vehicle);
-    on_handover(vehicle, from, to);
-  });
+  schedule_event(when, event::kind::handover, vehicle, next->from_rsu,
+                 next->to_rsu);
 }
 
 void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
@@ -483,7 +508,7 @@ void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
 void shard_engine::schedule_clearing(std::size_t pidx, double at) {
   if (clearing_scheduled_[pidx]) return;
   clearing_scheduled_[pidx] = true;
-  queue_.schedule(at, [this, pidx] { run_clearing(pidx); });
+  schedule_event(at, event::kind::clear, pidx);
 }
 
 void shard_engine::run_clearing(std::size_t pidx) {
@@ -673,9 +698,10 @@ void shard_engine::start_migration(std::size_t pidx,
                                    const clearing_grant& grant) {
   const auto handle = pools_[pidx].allocate(grant.bandwidth_mhz);
   VTM_ASSERT(handle.has_value());
-  launch_migration(pidx, grant.request, grant.price, grant.bandwidth_mhz,
-                   grant.vmu_utility, grant.msp_utility, grant.cohort, {},
-                   {*handle});
+  const std::uint32_t id = acquire_flight(pidx);
+  flights_[id].grant_ids.push_back(*handle);
+  launch_migration(id, grant.request, grant.price, grant.bandwidth_mhz,
+                   grant.vmu_utility, grant.msp_utility, grant.cohort);
 }
 
 void shard_engine::start_migration(std::size_t pidx,
@@ -683,26 +709,43 @@ void shard_engine::start_migration(std::size_t pidx,
   // One physical grant per seller slice: the sellers' subchannels are
   // orthogonal within each pool, and every slice must release back to the
   // pool it came from.
-  std::vector<wireless::grant_id> grant_ids;
-  grant_ids.reserve(grant.slices.size());
+  const std::uint32_t id = acquire_flight(pidx);
+  auto& flight = flights_[id];
+  flight.slices.assign(grant.slices.begin(), grant.slices.end());
   for (const auto& slice : grant.slices) {
     const auto handle = msp_pools_[slice.msp][candidates_[pidx][slice.msp]]
                             .allocate(slice.bandwidth_mhz);
     VTM_ASSERT(handle.has_value());
-    grant_ids.push_back(*handle);
+    flight.grant_ids.push_back(*handle);
   }
-  launch_migration(pidx, grant.request, grant.price, grant.bandwidth_mhz,
-                   grant.vmu_utility, grant.msp_utility, grant.cohort,
-                   grant.slices, std::move(grant_ids));
+  launch_migration(id, grant.request, grant.price, grant.bandwidth_mhz,
+                   grant.vmu_utility, grant.msp_utility, grant.cohort);
 }
 
-void shard_engine::launch_migration(std::size_t pidx,
+std::uint32_t shard_engine::acquire_flight(std::size_t pidx) {
+  std::uint32_t id = 0;
+  if (free_flights_.empty()) {
+    VTM_ASSERT(flights_.size() < std::numeric_limits<std::uint32_t>::max());
+    id = static_cast<std::uint32_t>(flights_.size());
+    flights_.emplace_back();
+  } else {
+    id = free_flights_.back();
+    free_flights_.pop_back();
+  }
+  auto& flight = flights_[id];
+  flight.pidx = pidx;
+  flight.slices.clear();
+  flight.grant_ids.clear();
+  return id;
+}
+
+void shard_engine::launch_migration(std::uint32_t flight_id,
                                     const clearing_request& request,
                                     double price, double bandwidth_mhz,
                                     double vmu_utility, double msp_utility,
-                                    std::size_t cohort,
-                                    std::vector<seller_slice> slices,
-                                    std::vector<wireless::grant_id> grant_ids) {
+                                    std::size_t cohort) {
+  auto& flight = flights_[flight_id];
+  const std::size_t pidx = flight.pidx;
   auto& slot = vehicles_[request.vehicle];
 
   // Pre-copy migration over the granted bandwidth (normalized MB/s rate:
@@ -743,7 +786,8 @@ void shard_engine::launch_migration(std::size_t pidx,
   const double rate_mb_s = bandwidth_mhz * budget->spectral_efficiency();
   const auto report = sim::run_precopy(*slot.twin, rate_mb_s, precopy);
 
-  migration_record record;
+  migration_record& record = flight.record;
+  record = migration_record{};
   record.start_s = queue_.now();
   record.requested_s = request.submitted_s;
   record.vehicle = request.vehicle;
@@ -752,7 +796,7 @@ void shard_engine::launch_migration(std::size_t pidx,
   record.price = price;
   record.bandwidth_mhz = bandwidth_mhz;
   record.cohort = cohort;
-  record.sellers = slices.empty() ? 1 : slices.size();
+  record.sellers = flight.slices.empty() ? 1 : flight.slices.size();
   record.aotm_closed_form =
       aotm_closed_form(slot.twin->total_mb(), bandwidth_mhz, *budget);
   record.aotm_simulated = aotm_from_migration(report);
@@ -763,18 +807,18 @@ void shard_engine::launch_migration(std::size_t pidx,
   record.precopy_converged = report.converged;
   counters_.max_cohort = std::max(counters_.max_cohort, cohort);
 
-  queue_.schedule_in(report.total_time_s,
-                     [this, pidx, slices = std::move(slices),
-                      grant_ids = std::move(grant_ids), record] {
-                       finish_migration(pidx, slices, grant_ids, record);
-                     });
+  schedule_event(queue_.now() + report.total_time_s, event::kind::finish,
+                 flight_id);
 }
 
-void shard_engine::finish_migration(std::size_t pidx,
-                                    const std::vector<seller_slice>& slices,
-                                    const std::vector<wireless::grant_id>&
-                                        grant_ids,
-                                    const migration_record& record) {
+void shard_engine::finish_migration(std::uint32_t flight_id) {
+  // Nothing below launches a migration, so `flights_` is not resized while
+  // these references live; the slot is freed on the way out.
+  const auto& flight = flights_[flight_id];
+  const std::size_t pidx = flight.pidx;
+  const auto& slices = flight.slices;
+  const auto& grant_ids = flight.grant_ids;
+  const auto& record = flight.record;
   if (slices.empty()) {
     pools_[pidx].release(grant_ids.front());
   } else {
@@ -818,23 +862,24 @@ void shard_engine::finish_migration(std::size_t pidx,
   // A release frees capacity: re-clear any deferred requests immediately.
   if (slices.empty()) {
     if (markets_[pidx].pending() > 0) schedule_clearing(pidx, queue_.now());
-    return;
-  }
-  // Offset chains let neighbouring cells draw on the same MSP pool, so a
-  // release can unblock any book sharing one of the released candidate
-  // pools (book q shares seller m's pool with this cell iff both resolve m
-  // to the same slot). Scanned in cell order — deterministic.
-  for (std::size_t q = 0; q < comarkets_.size(); ++q) {
-    if (comarkets_[q].pending() == 0) continue;
-    bool shares = false;
-    for (const auto& slice : slices) {
-      if (candidates_[q][slice.msp] == candidates_[pidx][slice.msp]) {
-        shares = true;
-        break;
+  } else {
+    // Offset chains let neighbouring cells draw on the same MSP pool, so a
+    // release can unblock any book sharing one of the released candidate
+    // pools (book q shares seller m's pool with this cell iff both resolve
+    // m to the same slot). Scanned in cell order — deterministic.
+    for (std::size_t q = 0; q < comarkets_.size(); ++q) {
+      if (comarkets_[q].pending() == 0) continue;
+      bool shares = false;
+      for (const auto& slice : slices) {
+        if (candidates_[q][slice.msp] == candidates_[pidx][slice.msp]) {
+          shares = true;
+          break;
+        }
       }
+      if (shares) schedule_clearing(q, queue_.now());
     }
-    if (shares) schedule_clearing(q, queue_.now());
   }
+  free_flights_.push_back(flight_id);
 }
 
 void shard_engine::deliver(const shard_message& message,
@@ -850,11 +895,8 @@ void shard_engine::deliver(const shard_message& message,
       if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->late);
       at = queue_.now();
     }
-    queue_.schedule(at, [this, vehicle = handoff->vehicle,
-                         from = handoff->from_rsu, to = handoff->to_rsu] {
-      sync_position(vehicle);
-      on_handover(vehicle, from, to);
-    });
+    schedule_event(at, event::kind::handover, handoff->vehicle,
+                   handoff->from_rsu, handoff->to_rsu);
     return;
   }
   const auto& retarget = std::get<retarget_handoff>(message);
@@ -872,13 +914,14 @@ void shard_engine::deliver(const shard_message& message,
 void shard_engine::run_window(double t_end) {
   util::trace_span span(tele_.trace, "shard.window");
   span.arg("t_end", t_end);
-  queue_.run_until(t_end);
+  queue_.run_until(t_end, [this](const event& e) { dispatch(e); });
 }
 
 std::size_t shard_engine::drain_round() {
   util::trace_span span(tele_.trace, "shard.drain");
   const std::size_t events =
-      queue_.run_all(std::numeric_limits<std::size_t>::max());
+      queue_.run_all(std::numeric_limits<std::size_t>::max(),
+                     [this](const event& e) { dispatch(e); });
   span.arg("events", static_cast<double>(events));
   return events;
 }

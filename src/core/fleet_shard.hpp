@@ -2,11 +2,11 @@
 //
 // A fleet run partitions the RSU chain into `shard_count` contiguous shards.
 // Each `shard_engine` owns its RSUs' OFDMA pools and `core::spot_market`
-// books, and advances its *own* `sim::event_queue`; the `shard_coordinator`
-// drives all shards in conservative time windows on `util::thread_pool`
-// (lookahead: the minimum boundary travel time at `max_speed_mps`). Anything
-// one shard does to another crosses a `sim::shard_mailbox` and is applied at
-// the next window barrier:
+// books, and advances its *own* typed `sim::basic_event_queue`; the
+// `shard_coordinator` drives all shards in conservative time windows on
+// `util::thread_pool` (lookahead: the minimum boundary travel time at
+// `max_speed_mps`). Anything one shard does to another crosses a
+// `sim::shard_mailbox` and is applied at the next window barrier:
 //
 //   - `boundary_handoff` — a vehicle whose next coverage handover lands in a
 //     neighbouring shard's RSU; ownership of the vehicle slot moves with it.
@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -239,9 +240,6 @@ class shard_engine {
   /// the horizon has passed.
   void abandon_remaining();
 
-  [[nodiscard]] const sim::event_queue& queue() const noexcept {
-    return queue_;
-  }
   /// Book of the pool serving global RSU `rsu` (white-box tests; monopoly
   /// modes only — oligopoly books live in `comarket_at`).
   [[nodiscard]] spot_market& market_at(std::size_t rsu);
@@ -288,6 +286,31 @@ class shard_engine {
       VTM_REQUIRES(barrier);
 
  private:
+  /// One scheduled shard event: a kind plus indices, dispatched by one
+  /// `switch` in `dispatch`. Trivially copyable, so scheduling allocates
+  /// nothing; a migration's finish payload lives in `flights_`.
+  struct event {
+    enum class kind : std::uint8_t { arrive, handover, clear, finish };
+    kind type;
+    std::uint32_t index;     ///< Vehicle (arrive, handover), pool (clear),
+                             ///< or `flights_` slot (finish).
+    std::uint32_t from = 0;  ///< Handover source RSU.
+    std::uint32_t to = 0;    ///< Handover destination RSU.
+  };
+  static_assert(std::is_trivially_copyable_v<event> && sizeof(event) == 16);
+  /// The payload of one migration's finish event. A vehicle has at most one
+  /// migration in flight; slots recycle through `free_flights_`, and their
+  /// vectors keep their capacity.
+  struct flight {
+    std::size_t pidx = 0;
+    std::vector<seller_slice> slices;  ///< Empty in monopoly modes.
+    std::vector<wireless::grant_id> grant_ids;
+    migration_record record;
+  };
+
+  void schedule_event(double at, event::kind type, std::size_t index,
+                      std::size_t from = 0, std::size_t to = 0);
+  void dispatch(const event& e);
   [[nodiscard]] std::size_t pool_index(std::size_t rsu) const noexcept;
   [[nodiscard]] double pool_link_distance_m(std::size_t rsu) const;
   /// Channel of the cell at global RSU `rsu` over `distance_m`: the chain
@@ -309,18 +332,17 @@ class shard_engine {
   void run_clearing_oligopoly(std::size_t pidx);
   void start_migration(std::size_t pidx, const clearing_grant& grant);
   void start_migration(std::size_t pidx, const competitive_grant& grant);
-  /// Shared tail of both start paths: pre-copy over `rate_mb_s`, record
-  /// bookkeeping, and the completion schedule (release + accounting via
-  /// `release`).
-  void launch_migration(std::size_t pidx, const clearing_request& request,
+  /// Take a finish-payload slot for pool `pidx` (recycled from
+  /// `free_flights_` when one is free), with empty slices and grant ids.
+  [[nodiscard]] std::uint32_t acquire_flight(std::size_t pidx);
+  /// Shared tail of both start paths: pre-copy over the granted rate, the
+  /// flight's record, and its finish event (release + accounting in
+  /// `finish_migration`).
+  void launch_migration(std::uint32_t flight, const clearing_request& request,
                         double price, double bandwidth_mhz,
                         double vmu_utility, double msp_utility,
-                        std::size_t cohort, std::vector<seller_slice> slices,
-                        std::vector<wireless::grant_id> grant_ids);
-  void finish_migration(std::size_t pidx,
-                        const std::vector<seller_slice>& slices,
-                        const std::vector<wireless::grant_id>& grant_ids,
-                        const migration_record& record);
+                        std::size_t cohort);
+  void finish_migration(std::uint32_t flight);
   /// Shared bookkeeping of both abandon paths (in-run and final sweep).
   void resolve_abandoned(const clearing_request& request);
 
@@ -334,7 +356,9 @@ class shard_engine {
   std::span<const std::uint32_t> rsu_shard_;
   std::vector<vehicle_slot>& vehicles_;
   sim::shard_mailbox<shard_message>& mailbox_;
-  sim::event_queue queue_;
+  sim::basic_event_queue<event> queue_;
+  std::vector<flight> flights_;
+  std::vector<std::uint32_t> free_flights_;
   double epoch_s_;
   std::vector<wireless::link_params> pool_links_;   ///< Per-pool channel.
   std::vector<wireless::link_budget> budgets_;      ///< Per-pool rates.

@@ -1,100 +1,118 @@
 // Discrete-event simulation core.
 //
-// A time-ordered queue of callbacks with a monotone simulation clock.
-// Events scheduled at equal times run in schedule order (stable FIFO via a
-// sequence number), which keeps scenarios deterministic.
+// A future-event set with a monotone simulation clock: one binary heap in a
+// `std::vector`, ordered by (time, schedule sequence number). Events
+// scheduled at equal times run in schedule order, which keeps scenarios
+// deterministic. There is no cancellation: a scheduled event runs.
+//
+// The payload is a template parameter. `event_queue` stores callbacks and
+// runs each one when it is due; an engine with a closed set of events
+// (`core::shard_engine`) stores a small trivially-copyable event instead and
+// passes its dispatcher to `step`/`run_until`/`run_all`, so scheduling
+// allocates nothing once the heap has grown to its live depth.
 //
 // For sharded simulations each shard owns one queue and advances it in
 // conservative time windows: `run_until(t)` is the windowed-run primitive
 // (repeated calls with increasing `t` execute exactly the events a single
-// call would), and `next_event_time()` lets a coordinator detect quiescence
-// and compute safe window bounds across shards.
+// call would).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
-#include "util/quantity.hpp"
+#include "util/contracts.hpp"
 
 namespace vtm::sim {
 
-/// Time-ordered event executor with cancellation.
-class event_queue {
+template <class Event = std::function<void()>>
+class basic_event_queue {
  public:
-  /// Identifier of a scheduled event (valid until it runs or is cancelled).
-  using handle = std::uint64_t;
-
   /// Current simulation time (seconds). Starts at 0.
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  /// Typed sibling of `now` (util/quantity.hpp timestamps).
-  [[nodiscard]] util::seconds now_time() const noexcept {
-    return util::seconds{now_};
-  }
-
   /// Number of pending events.
-  [[nodiscard]] std::size_t pending() const noexcept { return events_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
-  /// Timestamp of the earliest pending event; nullopt when the queue is
-  /// empty. Never advances the clock.
-  [[nodiscard]] std::optional<double> next_event_time() const noexcept;
-
-  /// Typed sibling of `next_event_time`.
-  [[nodiscard]] std::optional<util::seconds> next_event_at() const noexcept {
-    const auto t = next_event_time();
-    if (!t) return std::nullopt;
-    return util::seconds{*t};
+  /// Schedule `event` at absolute time `at` (>= now()).
+  void schedule(double at, Event event) {
+    VTM_EXPECTS(at >= now_);
+    if constexpr (std::is_constructible_v<bool, const Event&>)
+      VTM_EXPECTS(static_cast<bool>(event));
+    heap_.push_back(entry{at, next_seq_++, std::move(event)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
   }
 
-  /// Schedule `action` at absolute time `at` (>= now()).
-  handle schedule(double at, std::function<void()> action);
-
-  /// Schedule `action` `delay` seconds from now (delay >= 0).
-  handle schedule_in(double delay, std::function<void()> action);
-
-  /// Typed siblings of the scheduling calls — a distance or a rate can no
-  /// longer be scheduled as a timestamp by accident.
-  handle schedule(util::seconds at, std::function<void()> action) {
-    return schedule(at.value(), std::move(action));
-  }
-  handle schedule_in(util::seconds delay, std::function<void()> action) {
-    return schedule_in(delay.value(), std::move(action));
+  /// Schedule `event` `delay` seconds from now (delay >= 0).
+  void schedule_in(double delay, Event event) {
+    VTM_EXPECTS(delay >= 0.0);
+    schedule(now_ + delay, std::move(event));
   }
 
-  /// Cancel a pending event. Returns false if it already ran or is unknown.
-  bool cancel(handle h);
-
-  /// Run the earliest event, advancing the clock to its timestamp.
-  /// Returns false when the queue is empty.
-  bool step();
+  /// Remove the earliest event, advance the clock to its timestamp, and hand
+  /// it to `dispatch` (which may schedule more). Returns false when empty.
+  template <class Dispatch>
+  bool step(Dispatch&& dispatch) {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    entry top = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = top.time;
+    dispatch(top.event);
+    return true;
+  }
+  bool step() { return step(invoke); }
 
   /// Run all events with time <= t, then advance the clock to t (if t > now).
   /// Returns the number of events executed.
-  std::size_t run_until(double t);
-
-  /// Typed sibling of `run_until`.
-  std::size_t run_until(util::seconds t) { return run_until(t.value()); }
+  template <class Dispatch>
+  std::size_t run_until(double t, Dispatch&& dispatch) {
+    VTM_EXPECTS(t >= now_);
+    std::size_t executed = 0;
+    while (!heap_.empty() && heap_.front().time <= t) {
+      step(dispatch);
+      ++executed;
+    }
+    now_ = t;
+    return executed;
+  }
+  std::size_t run_until(double t) { return run_until(t, invoke); }
 
   /// Run until the queue drains or `max_events` have executed.
   /// Returns the number of events executed.
-  std::size_t run_all(std::size_t max_events = 1'000'000);
+  template <class Dispatch>
+  std::size_t run_all(std::size_t max_events, Dispatch&& dispatch) {
+    std::size_t executed = 0;
+    while (executed < max_events && step(dispatch)) ++executed;
+    return executed;
+  }
+  std::size_t run_all(std::size_t max_events = 1'000'000) {
+    return run_all(max_events, invoke);
+  }
 
  private:
-  struct key {
+  struct entry {
     double time;
     std::uint64_t seq;
-    [[nodiscard]] bool operator<(const key& rhs) const noexcept {
-      if (time != rhs.time) return time < rhs.time;
-      return seq < rhs.seq;
-    }
+    Event event;
   };
+  /// Heap order: `a` runs after `b` (the heap's front is the earliest).
+  static bool later(const entry& a, const entry& b) noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+  static void invoke(Event& event) { event(); }
+
   double now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
-  std::map<key, std::function<void()>> events_;
-  std::map<handle, key> index_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<entry> heap_;
 };
+
+/// The callback queue: each event is a `std::function<void()>`.
+using event_queue = basic_event_queue<>;
 
 }  // namespace vtm::sim

@@ -2,7 +2,10 @@
 // migration engine, highway mobility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -10,6 +13,7 @@
 #include "sim/precopy.hpp"
 #include "sim/vt.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace s = vtm::sim;
 
@@ -52,16 +56,6 @@ TEST(event_queue, cannot_schedule_in_the_past) {
   EXPECT_THROW((void)q.schedule(1.0, [] {}), vtm::util::contract_error);
 }
 
-TEST(event_queue, cancel_prevents_execution) {
-  s::event_queue q;
-  bool ran = false;
-  const auto h = q.schedule(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // already cancelled
-  q.run_all();
-  EXPECT_FALSE(ran);
-}
-
 TEST(event_queue, run_until_stops_at_horizon) {
   s::event_queue q;
   int count = 0;
@@ -94,19 +88,6 @@ TEST(event_queue, run_all_respects_event_budget) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(event_queue, next_event_time_peeks_without_advancing) {
-  s::event_queue q;
-  EXPECT_FALSE(q.next_event_time().has_value());
-  q.schedule(3.0, [] {});
-  q.schedule(1.5, [] {});
-  ASSERT_TRUE(q.next_event_time().has_value());
-  EXPECT_DOUBLE_EQ(*q.next_event_time(), 1.5);
-  EXPECT_DOUBLE_EQ(q.now(), 0.0);  // peeking never advances the clock
-  q.run_until(2.0);
-  ASSERT_TRUE(q.next_event_time().has_value());
-  EXPECT_DOUBLE_EQ(*q.next_event_time(), 3.0);
-}
-
 // Windowed runs are the sharded engine's primitive: repeated run_until calls
 // with increasing horizons execute exactly the events one call would, and
 // events landing on a window boundary can still be scheduled at the barrier
@@ -135,6 +116,61 @@ TEST(event_queue, windowed_run_until_matches_single_run) {
   q.schedule(5.0, [&] { ++ran_at_boundary; });  // at == now: still legal
   q.run_until(6.0);
   EXPECT_EQ(ran_at_boundary, 1);
+}
+
+// Differential ordering oracle: randomized schedules with many equal-time
+// ties, handlers that schedule at now(), barrier-time schedules between
+// run_until windows split at random points. A child's (time, schedule index)
+// key always exceeds the key being dispatched, so a correct queue dispatches
+// every event in the reference order: all scheduled events sorted by
+// (time, schedule index).
+TEST(event_queue, dispatch_order_matches_reference_sort) {
+  struct key {
+    double time;
+    std::size_t index;
+    bool operator<(const key& rhs) const {
+      return time != rhs.time ? time < rhs.time : index < rhs.index;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    vtm::util::rng gen(seed);
+    s::event_queue q;
+    std::vector<key> scheduled;
+    std::vector<std::size_t> dispatched;
+    // Times on a coarse grid, so most timestamps are shared.
+    const auto grid_time = [&gen](double from, std::int64_t steps) {
+      return from + 0.25 * static_cast<double>(gen.uniform_int(0, steps));
+    };
+    std::function<void(double)> add = [&](double at) {
+      const std::size_t index = scheduled.size();
+      scheduled.push_back({at, index});
+      q.schedule(at, [&, index, at] {
+        EXPECT_EQ(q.now(), at);
+        dispatched.push_back(index);
+        if (scheduled.size() >= 600) return;
+        const auto children = gen.uniform_int(0, 2);
+        for (std::int64_t c = 0; c < children; ++c)
+          add(gen.bernoulli(0.5) ? q.now() : grid_time(q.now(), 4));
+      });
+    };
+    for (int i = 0; i < 150; ++i) add(grid_time(0.0, 20));
+    double horizon = 0.0;
+    for (int w = 0; w < 6; ++w) {
+      horizon = gen.uniform(horizon, horizon + 2.0);
+      const std::size_t before = dispatched.size();
+      const std::size_t executed = q.run_until(horizon);
+      EXPECT_EQ(executed, dispatched.size() - before);
+      EXPECT_EQ(q.now(), horizon);
+      for (int i = 0; i < 5; ++i) add(q.now());  // barrier-time schedules
+    }
+    q.run_all();
+    EXPECT_EQ(q.pending(), 0u);
+
+    std::sort(scheduled.begin(), scheduled.end());
+    std::vector<std::size_t> reference;
+    for (const auto& k : scheduled) reference.push_back(k.index);
+    ASSERT_EQ(dispatched, reference) << "seed " << seed;
+  }
 }
 
 // ---- vehicular twin ------------------------------------------------------------
