@@ -181,26 +181,6 @@ TEST(fig_golden, fleet_oligopoly_m1_matches_joint_pins) {
   EXPECT_DOUBLE_EQ(r1000.mean_price, 44.035863523444235);
 }
 
-// Legacy sequential (market_mode::single) fleet path, also pinned: the
-// monopoly curves' engine must survive backend work untouched.
-TEST(fig_golden, fleet_sequential_aggregates) {
-  core::fleet_config config;
-  config.rsu_count = 6;
-  config.vehicle_count = 40;
-  config.duration_s = vtm::util::seconds{60.0};
-  config.mode = core::market_mode::single;
-  config.record_migrations = false;
-  const auto r = core::run_fleet_scenario(config);
-  EXPECT_EQ(r.handovers, 60u);
-  EXPECT_EQ(r.completed, 60u);
-  EXPECT_EQ(r.deferred, 0u);
-  EXPECT_EQ(r.priced_out, 0u);
-  EXPECT_EQ(r.abandoned, 0u);
-  EXPECT_DOUBLE_EQ(r.msp_total_utility, 53148.904790868066);
-  EXPECT_DOUBLE_EQ(r.vmu_total_utility, 78339.051308750684);
-  EXPECT_DOUBLE_EQ(r.mean_price, 33.461380743249386);
-}
-
 // PR 4's shard refactor must leave the serial engine bitwise untouched:
 // three regimes (default, non-uniform chain, congested) captured from the
 // pre-shard engine at the commit that introduced the shard_coordinator.

@@ -215,11 +215,6 @@ TEST(fleet_shard, rejects_invalid_shard_configs) {
   too_many.shard_count = 5;
   EXPECT_THROW((void)core::run_fleet_scenario(too_many),
                vtm::util::contract_error);
-  core::fleet_config shared;
-  shared.shared_pool = true;
-  shared.shard_count = 2;
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
-               vtm::util::contract_error);
 }
 
 // ---- satellite: epoch-grid snap uses a relative tolerance -----------------
@@ -450,12 +445,6 @@ TEST(fleet_shard, rejects_malformed_channel_overrides) {
   not_finite.rsu_tx_power_dbm[3] =
       vtm::util::dbm{std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW((void)core::run_fleet_scenario(not_finite),
-               vtm::util::contract_error);
-
-  core::fleet_config shared;
-  shared.shared_pool = true;
-  shared.rsu_noise_dbm.assign(shared.rsu_count, vtm::util::dbm{-150.0});
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
                vtm::util::contract_error);
 }
 

@@ -31,7 +31,7 @@ sanitizers) cannot express:
       entry points must reject bad configs with `util::contract_error`, not
       propagate NaNs into a million-vehicle run. Additionally, every
       `run_*`-named definition taking a `*_config&` (run_fleet_scenario,
-      run_streaming_fleet, run_highway_scenario, ...) must validate *inside
+      run_streaming_fleet, run_fleet_sweep, ...) must validate *inside
       its own body* — a validate call elsewhere in the file does not protect
       an entry point a caller reaches directly.
 
