@@ -1,16 +1,20 @@
 // Microbenchmarks (google-benchmark) of the hot operations behind the
 // figures: equilibrium solves, market evaluation, environment steps, policy
-// inference, PPO updates, pre-copy migration, and the event queue.
+// inference, PPO updates and their Adam step, pre-copy migration, and the
+// event queue.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
 #include <type_traits>
+#include <vector>
 
 #include "core/env.hpp"
 #include "core/equilibrium.hpp"
 #include "core/mechanism.hpp"
 #include "core/multi_msp.hpp"
+#include "core/pricing_policy.hpp"
+#include "nn/optim.hpp"
 #include "rl/buffer.hpp"
 #include "rl/policy.hpp"
 #include "rl/ppo.hpp"
@@ -131,6 +135,77 @@ void bm_ppo_update(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(learner.update(buffer));
 }
 BENCHMARK(bm_ppo_update);
+
+// The fleet pricer's actor-critic (core::train_fleet_pricer's defaults:
+// cohort features -> 64 -> 64, log-std -0.7).
+vtm::rl::actor_critic fleet_pricer_policy(vtm::util::rng& gen) {
+  vtm::rl::actor_critic_config config;
+  config.obs_dim = vtm::core::cohort_feature_dim;
+  config.hidden = {64, 64};
+  config.initial_log_std = -0.7;
+  return vtm::rl::actor_critic(config, gen);
+}
+
+// One Adam step over the fleet pricer's parameters. Each iteration first
+// refills the gradients (step() zeroes them), so the timing includes one
+// gradient accumulate per parameter.
+void bm_adam_step(benchmark::State& state) {
+  vtm::util::rng gen(6);
+  const vtm::rl::actor_critic policy = fleet_pricer_policy(gen);
+  auto params = policy.parameters();
+  std::vector<vtm::nn::tensor> grads;
+  for (const auto& p : params) {
+    vtm::nn::tensor g(p.dims());
+    for (double& x : g.flat()) x = 0.1 * gen.normal();
+    grads.push_back(std::move(g));
+  }
+  vtm::nn::adam optimizer(params, 3e-4);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < params.size(); ++i)
+      params[i].accumulate_grad(grads[i]);
+    optimizer.step();
+    benchmark::DoNotOptimize(params[0].value().flat().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(bm_adam_step);
+
+// rl::ppo::update at the pricer_learning workload's shape: the fleet
+// pricer's network, a 4-env x 16-step buffer, gamma = lambda = 0 (the
+// contextual-bandit schedule), minibatch 20, 10 epochs, lr 3e-4.
+void bm_ppo_update_fleet_pricer(benchmark::State& state) {
+  constexpr std::size_t envs = 4;
+  constexpr std::size_t steps = 16;
+  constexpr std::size_t obs_dim = vtm::core::cohort_feature_dim;
+  vtm::util::rng gen(7);
+  vtm::rl::actor_critic policy = fleet_pricer_policy(gen);
+  vtm::rl::ppo_config ppo_config;
+  ppo_config.learning_rate = 3e-4;
+  ppo_config.gamma = 0.0;
+  ppo_config.gae_lambda = 0.0;
+  vtm::util::rng ppo_gen(8);
+  vtm::rl::ppo learner(policy, ppo_config, ppo_gen);
+
+  vtm::rl::rollout_buffer buffer(steps, obs_dim, 1, envs);
+  vtm::util::rng fill(9);
+  vtm::nn::tensor obs({envs, obs_dim});
+  vtm::nn::tensor actions({envs, 1});
+  std::vector<double> rewards(envs), values(envs), log_probs(envs);
+  const std::vector<std::uint8_t> dones(envs, 0);
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (double& x : obs.flat()) x = fill.uniform();
+    for (double& x : actions.flat()) x = fill.normal();
+    for (std::size_t e = 0; e < envs; ++e) {
+      rewards[e] = fill.uniform();
+      values[e] = 0.5;
+      log_probs[e] = -1.0;
+    }
+    buffer.add_batch(obs, actions, rewards, values, log_probs, dones);
+  }
+  buffer.compute_advantages(0.0, 0.0, std::vector<double>(envs, 0.0));
+  for (auto _ : state) benchmark::DoNotOptimize(learner.update(buffer));
+}
+BENCHMARK(bm_ppo_update_fleet_pricer);
 
 void bm_precopy_migration(benchmark::State& state) {
   const auto twin = vtm::sim::vehicular_twin::with_total_mb(1, 200.0);

@@ -7,7 +7,7 @@
 // leaves created with `variable::constant` are inputs/targets.
 //
 // The op set is exactly what PPO with a diagonal-Gaussian policy and a shared
-// actor-critic trunk needs (matmul, bias broadcast, tanh/relu, exp/log,
+// actor-critic trunk needs (matmul, affine layers, tanh/relu, exp/log,
 // elementwise arithmetic, clamp, minimum, reductions). Every op's gradient is
 // validated against finite differences in tests (see gradcheck.hpp).
 #pragma once
@@ -51,9 +51,17 @@ class variable {
   /// Whether gradients flow into this node.
   [[nodiscard]] bool requires_grad() const;
 
-  /// Overwrite the value of a leaf in place (optimizer step). Requires the
-  /// same shape and that this node is a leaf.
+  /// Replace the value of a leaf. Requires the same shape and that this
+  /// node is a leaf.
   void set_value(tensor value);
+
+  /// The value of a leaf, for in-place updates (optimizer steps, clamps,
+  /// reused input storage). Requires that this node is a leaf.
+  [[nodiscard]] tensor& mutable_value();
+
+  /// The accumulated gradient, for in-place updates (clipping, optimizer
+  /// steps). Keep the shape.
+  [[nodiscard]] tensor& mutable_grad();
 
   /// Reset this node's gradient to zero.
   void zero_grad();
@@ -100,8 +108,11 @@ void backward(const variable& root);
 /// Matrix product: (m x k) · (k x n) -> (m x n).
 [[nodiscard]] variable matmul(const variable& a, const variable& b);
 
-/// Broadcast-add a 1 x d row vector to every row of an m x d matrix.
-[[nodiscard]] variable add_rowvec(const variable& m, const variable& row);
+/// Affine map x · w + b: (m x k) · (k x n), then the 1 x n row b added to
+/// every row. One node: the same values and gradients, bit for bit, as
+/// matmul(x, w) + tile_rows(b, m), without the intermediate.
+[[nodiscard]] variable affine(const variable& x, const variable& w,
+                              const variable& b);
 
 /// Tile a 1 x d row vector into n identical rows (gradient: column sums).
 [[nodiscard]] variable tile_rows(const variable& row, std::size_t n);

@@ -53,7 +53,7 @@ linear::linear(std::size_t in, std::size_t out, util::rng& gen, double gain)
 
 variable linear::forward(const variable& x) const {
   VTM_EXPECTS(x.dims().cols == in_);
-  return add_rowvec(matmul(x, weight_), bias_);
+  return affine(x, weight_, bias_);
 }
 
 tensor linear::forward_values(const tensor& x) const {

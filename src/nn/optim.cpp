@@ -27,17 +27,19 @@ sgd::sgd(std::vector<variable> params, double lr, double momentum)
 }
 
 void sgd::step() {
+  const double lr = lr_;
+  const double momentum = momentum_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensor value = params_[i].value();
-    const tensor& grad = params_[i].grad();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      double& vel = velocity_[i].flat()[j];
-      vel = momentum_ * vel + grad.flat()[j];
-      value.flat()[j] -= lr_ * vel;
+    double* __restrict value = params_[i].mutable_value().flat().data();
+    double* __restrict grad = params_[i].mutable_grad().flat().data();
+    double* __restrict velocity = velocity_[i].flat().data();
+    const std::size_t n = velocity_[i].size();
+    for (std::size_t j = 0; j < n; ++j) {
+      velocity[j] = momentum * velocity[j] + grad[j];
+      value[j] -= lr * velocity[j];
+      grad[j] = 0.0;
     }
-    params_[i].set_value(std::move(value));
   }
-  zero_grad();
 }
 
 adam::adam(std::vector<variable> params, double lr, double beta1, double beta2,
@@ -63,22 +65,27 @@ void adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double lr = lr_;
+  const double beta1 = beta1_;
+  const double beta2 = beta2_;
+  const double eps = eps_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensor value = params_[i].value();
-    const tensor& grad = params_[i].grad();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const double g = grad.flat()[j];
-      double& m = m_[i].flat()[j];
-      double& v = v_[i].flat()[j];
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      const double m_hat = m / bc1;
-      const double v_hat = v / bc2;
-      value.flat()[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+    double* __restrict value = params_[i].mutable_value().flat().data();
+    double* __restrict grad = params_[i].mutable_grad().flat().data();
+    double* __restrict m = m_[i].flat().data();
+    double* __restrict v = v_[i].flat().data();
+    const std::size_t n = m_[i].size();
+    // One pass per parameter: moments, update, and the gradient reset.
+    for (std::size_t j = 0; j < n; ++j) {
+      const double g = grad[j];
+      m[j] = beta1 * m[j] + (1.0 - beta1) * g;
+      v[j] = beta2 * v[j] + (1.0 - beta2) * g * g;
+      const double m_hat = m[j] / bc1;
+      const double v_hat = v[j] / bc2;
+      value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      grad[j] = 0.0;
     }
-    params_[i].set_value(std::move(value));
   }
-  zero_grad();
 }
 
 double clip_grad_norm(const std::vector<variable>& params, double max_norm) {
@@ -89,11 +96,13 @@ double clip_grad_norm(const std::vector<variable>& params, double max_norm) {
   const double norm = std::sqrt(sq);
   if (norm > max_norm && norm > 0.0) {
     const double scale = max_norm / norm;
-    for (const auto& p : params) {
-      tensor scaled = p.grad() * scale;
-      variable mutable_p = p;
-      mutable_p.zero_grad();
-      mutable_p.accumulate_grad(scaled);
+    for (variable p : params) {
+      // Each gradient becomes 0 + round(g * scale), the scaled copy added
+      // to a zeroed gradient: a zero product turns into +0.
+      for (double& g : p.mutable_grad().flat()) {
+        const double scaled = g * scale;
+        g = scaled == 0.0 ? 0.0 : scaled;
+      }
     }
   }
   return norm;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,10 +79,24 @@ class tensor {
   void fill(double value) noexcept;
 
   /// Apply `fn` elementwise in place.
-  void apply(const std::function<double(double)>& fn);
+  template <class Fn>
+  void apply(Fn fn) {
+    for (double& x : data_) x = fn(x);
+  }
 
   /// Matrix product; requires cols() == rhs.rows().
   [[nodiscard]] tensor matmul(const tensor& rhs) const;
+
+  /// this += aᵀ · b without materializing the transpose or the product;
+  /// requires a.rows() == b.rows() and dims() == a.cols() x b.cols().
+  /// Bitwise equal to `*this += a.transposed().matmul(b)`.
+  void add_matmul_tn(const tensor& a, const tensor& b);
+
+  /// this += a · bᵀ; requires a.cols() == b.cols() and
+  /// dims() == a.rows() x b.rows(). Bitwise equal to
+  /// `*this += a.matmul(b.transposed())`. A matrix b is transposed into
+  /// reused thread-local storage; a vector (one row or column) needs none.
+  void add_matmul_nt(const tensor& a, const tensor& b);
 
   /// Transpose.
   [[nodiscard]] tensor transposed() const;

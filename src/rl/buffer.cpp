@@ -108,38 +108,48 @@ const transition& rollout_buffer::at_flat(std::size_t i) const {
 
 minibatch rollout_buffer::gather(std::span<const std::size_t> indices,
                                  bool normalize) const {
+  minibatch batch;
+  gather_into(indices, normalize, batch);
+  return batch;
+}
+
+void rollout_buffer::gather_into(std::span<const std::size_t> indices,
+                                 bool normalize, minibatch& out) const {
   VTM_EXPECTS(ready_);
   VTM_EXPECTS(!indices.empty());
   const std::size_t b = indices.size();
-  minibatch batch{
-      nn::tensor({b, obs_dim_}), nn::tensor({b, act_dim_}),
-      nn::tensor({b, 1}),        nn::tensor({b, 1}),
-      nn::tensor({b, 1}),
+  // Every element is overwritten below, so storage of the right shape is
+  // kept as is.
+  const auto reshape = [](nn::tensor& t, nn::shape s) {
+    if (t.dims() != s) t = nn::tensor(s);
   };
+  reshape(out.observations, {b, obs_dim_});
+  reshape(out.actions, {b, act_dim_});
+  reshape(out.old_log_probs, {b, 1});
+  reshape(out.advantages, {b, 1});
+  reshape(out.returns, {b, 1});
   const double denom = adv_std_ > 1e-8 ? adv_std_ : 1.0;
   for (std::size_t r = 0; r < b; ++r) {
     const std::size_t i = indices[r];
     VTM_EXPECTS(i < size());
     const transition& t = at_flat(i);
     for (std::size_t c = 0; c < obs_dim_; ++c)
-      batch.observations(r, c) = t.observation[c];
-    for (std::size_t c = 0; c < act_dim_; ++c)
-      batch.actions(r, c) = t.action[c];
-    batch.old_log_probs(r, 0) = t.log_prob;
-    batch.advantages(r, 0) =
+      out.observations(r, c) = t.observation[c];
+    for (std::size_t c = 0; c < act_dim_; ++c) out.actions(r, c) = t.action[c];
+    out.old_log_probs(r, 0) = t.log_prob;
+    out.advantages(r, 0) =
         normalize ? (advantages_[i] - adv_mean_) / denom : advantages_[i];
-    batch.returns(r, 0) = returns_[i];
+    out.returns(r, 0) = returns_[i];
   }
-  return batch;
 }
 
-minibatch rollout_buffer::sample(std::size_t batch_size, util::rng& gen,
-                                 bool normalize) const {
+void rollout_buffer::sample(std::size_t batch_size, util::rng& gen,
+                            minibatch& out, bool normalize) const {
   VTM_EXPECTS(batch_size >= 1);
   VTM_EXPECTS(batch_size <= size());
   auto perm = gen.permutation(size());
   perm.resize(batch_size);
-  return gather(perm, normalize);
+  gather_into(perm, normalize, out);
 }
 
 minibatch rollout_buffer::all(bool normalize) const {

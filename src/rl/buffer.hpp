@@ -93,9 +93,11 @@ class rollout_buffer {
   [[nodiscard]] minibatch gather(std::span<const std::size_t> indices,
                                  bool normalize = true) const;
 
-  /// Random mini-batch of `batch_size` distinct indices (batch_size <= size).
-  [[nodiscard]] minibatch sample(std::size_t batch_size, util::rng& gen,
-                                 bool normalize = true) const;
+  /// Random mini-batch of `batch_size` distinct indices (batch_size <= size),
+  /// written into `out`. A reused `out` keeps its storage, so sampling the
+  /// same batch size again allocates no tensors.
+  void sample(std::size_t batch_size, util::rng& gen, minibatch& out,
+              bool normalize = true) const;
 
   /// Whole-buffer batch in storage order.
   [[nodiscard]] minibatch all(bool normalize = true) const;
@@ -112,6 +114,8 @@ class rollout_buffer {
 
  private:
   [[nodiscard]] const transition& at_flat(std::size_t i) const;
+  void gather_into(std::span<const std::size_t> indices, bool normalize,
+                   minibatch& out) const;
 
   std::size_t capacity_;
   std::size_t obs_dim_;

@@ -31,16 +31,26 @@ ppo_update_stats ppo::update(const rollout_buffer& buffer) {
   const std::size_t batch =
       std::min<std::size_t>(config_.minibatch_size, buffer.size());
 
+  // Minibatch storage reused across the M epochs: each epoch samples into
+  // `mb` and copies it into constant leaves made once per update, so after
+  // the first epoch neither allocates.
+  minibatch mb;
+  auto obs = nn::variable::constant({});
+  auto actions = nn::variable::constant({});
+  auto old_logp = nn::variable::constant({});
+  auto advantages = nn::variable::constant({});
+  auto returns = nn::variable::constant({});
+
+  // Every optimizer step leaves the gradients zeroed for the next epoch.
+  optimizer_.zero_grad();
   ppo_update_stats stats;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    const minibatch mb =
-        buffer.sample(batch, gen_, config_.normalize_advantages);
-
-    const auto obs = nn::variable::constant(mb.observations);
-    const auto actions = nn::variable::constant(mb.actions);
-    const auto old_logp = nn::variable::constant(mb.old_log_probs);
-    const auto advantages = nn::variable::constant(mb.advantages);
-    const auto returns = nn::variable::constant(mb.returns);
+    buffer.sample(batch, gen_, mb, config_.normalize_advantages);
+    obs.mutable_value() = mb.observations;
+    actions.mutable_value() = mb.actions;
+    old_logp.mutable_value() = mb.old_log_probs;
+    advantages.mutable_value() = mb.advantages;
+    returns.mutable_value() = mb.returns;
 
     const auto out = policy_.forward(obs);
     const nn::variable new_logp =
@@ -62,20 +72,15 @@ ppo_update_stats ppo::update(const rollout_buffer& buffer) {
     if (config_.entropy_coef > 0.0)
       loss = loss - config_.entropy_coef * entropy;
 
-    optimizer_.zero_grad();
     nn::backward(loss);
-    nn::clip_grad_norm(policy_.parameters(), config_.max_grad_norm);
+    nn::clip_grad_norm(optimizer_.parameters(), config_.max_grad_norm);
     optimizer_.step();
 
     // Keep σ in a sane band; PPO with tiny lr rarely hits this, but the
     // binary-reward regime can collapse σ without it.
-    {
-      nn::tensor ls = policy_.log_std().value();
-      for (auto& x : ls.flat())
-        x = std::clamp(x, config_.log_std_min, config_.log_std_max);
-      nn::variable mutable_log_std = policy_.log_std();
-      mutable_log_std.set_value(std::move(ls));
-    }
+    nn::variable log_std = policy_.log_std();
+    for (double& x : log_std.mutable_value().flat())
+      x = std::clamp(x, config_.log_std_min, config_.log_std_max);
 
     // Diagnostics.
     stats.policy_loss += -surrogate.value().item();

@@ -3,8 +3,11 @@
 // tape (diamond graphs, leaf accumulation, stop_gradient).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "nn/autograd.hpp"
 #include "nn/gaussian.hpp"
@@ -205,14 +208,46 @@ TEST(op_gradcheck_binary, matmul_both_sides) {
   EXPECT_TRUE(result.passed) << result.detail;
 }
 
-TEST(op_gradcheck_binary, add_rowvec_broadcast) {
+TEST(op_gradcheck_binary, affine_all_three_inputs) {
   vtm::util::rng gen(8);
-  auto m = nn::variable::parameter(random_tensor({4, 3}, gen));
-  auto row = nn::variable::parameter(random_tensor({1, 3}, gen));
+  auto x = nn::variable::parameter(random_tensor({4, 3}, gen));
+  auto w = nn::variable::parameter(random_tensor({3, 5}, gen));
+  auto b = nn::variable::parameter(random_tensor({1, 5}, gen));
   const auto result = nn::check_gradients(
-      [&] { return nn::sum(nn::square(nn::add_rowvec(m, row))); }, {m, row},
+      [&] { return nn::sum(nn::square(nn::affine(x, w, b))); }, {x, w, b},
       1e-6, 1e-5);
   EXPECT_TRUE(result.passed) << result.detail;
+}
+
+// The fused layer node must be the two-node composition it replaces, bit
+// for bit: value and all three gradients. Shapes are the fleet pricer's
+// hidden layer (20 x 64 · 64 x 64) and its 1-column value head.
+TEST(affine, matches_matmul_plus_tiled_bias_bitwise) {
+  vtm::util::rng gen(12);
+  for (const std::size_t out_cols : {std::size_t{64}, std::size_t{1}}) {
+    const auto xv = random_tensor({20, 64}, gen);
+    const auto wv = random_tensor({64, out_cols}, gen);
+    const auto bv = random_tensor({1, out_cols}, gen);
+    const auto up = random_tensor({20, out_cols}, gen);  // upstream weights
+    auto run = [&](bool fused) {
+      auto x = nn::variable::parameter(xv);
+      auto w = nn::variable::parameter(wv);
+      auto b = nn::variable::parameter(bv);
+      const auto y = fused ? nn::affine(x, w, b)
+                           : nn::matmul(x, w) + nn::tile_rows(b, 20);
+      nn::backward(nn::sum(nn::tanh(y) * nn::variable::constant(up)));
+      return std::vector<nn::tensor>{y.value(), x.grad(), w.grad(), b.grad()};
+    };
+    const auto fused = run(true);
+    const auto composed = run(false);
+    for (std::size_t i = 0; i < fused.size(); ++i) {
+      ASSERT_EQ(fused[i].dims(), composed[i].dims());
+      for (std::size_t j = 0; j < fused[i].size(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fused[i].flat()[j]),
+                  std::bit_cast<std::uint64_t>(composed[i].flat()[j]))
+            << "output " << i << " element " << j << " cols " << out_cols;
+    }
+  }
 }
 
 TEST(op_gradcheck_binary, tile_rows_broadcast) {

@@ -42,6 +42,9 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     vtm::util::thread_pool pool(threads);
     const std::size_t lanes = 2 * threads + 3;  // always oversubscribed
+    // One churn accumulator per lane: lanes of one phase run concurrently,
+    // so a shared one would be a same-phase race the barrier does not order.
+    std::vector<std::uint64_t> lane_sinks(lanes, 0);
 
     // All plain values: the pool's barrier is the only synchronization.
     // Publications are double-buffered by phase parity so a lane's read of
@@ -63,7 +66,8 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
           if (phase > 0 &&
               published[(phase - 1) % 2][rival] != (phase - 1) * lanes + rival)
             ++violations;
-          sink += churn(lane * 977 + phase, (lane * 31 + phase * 7) % 997);
+          lane_sinks[lane] +=
+              churn(lane * 977 + phase, (lane * 31 + phase * 7) % 997);
           published[phase % 2][lane] = phase * lanes + lane;
         },
         [&](std::size_t phase) {
@@ -77,6 +81,7 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
 
     EXPECT_EQ(violations.load(), 0) << "threads=" << threads;
     EXPECT_EQ(epoch, phases);
+    for (const std::uint64_t lane_sink : lane_sinks) sink += lane_sink;
   }
   // Keep the spin loops alive past the optimizer.
   EXPECT_NE(sink, 0u);

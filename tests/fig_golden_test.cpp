@@ -7,8 +7,11 @@
 //     outputs and are pinned (effectively) exactly — EXPECT_DOUBLE_EQ is a
 //     4-ulp band, so any real drift fails loudly;
 //   - the fig2 number is a short RL training run, pinned with a tolerance
-//     band (training is deterministic per seed, but the pinned value is a
-//     quality gate, not a bit pattern).
+//     band (training is deterministic per seed, and the pinned value is a
+//     quality gate) and, separately, by bit pattern;
+//   - a short fleet-pricer training run is pinned by bit pattern: its eval
+//     ratios and a hash of its checkpoint. These two bit pins are what stop
+//     an nn/rl kernel rewrite from silently moving every trained policy.
 //
 // Goldens were captured from the PR-2 engine (analytic oracle pricing) and
 // re-verified bitwise-identical after the pricing-backend refactor. They are
@@ -18,7 +21,10 @@
 // numbers, re-capture them in the same commit and say so in the PR.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/equilibrium.hpp"
@@ -58,6 +64,43 @@ void expect_equilibrium(const core::market_params& params,
   EXPECT_DOUBLE_EQ(eq.total_vmu_utility, golden.vmu_utility);
   EXPECT_DOUBLE_EQ(eq.total_demand, golden.total_demand);
 }
+
+// Exact bit pattern of a double (EXPECT_DOUBLE_EQ is a 4-ulp band).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// FNV-1a over a checkpoint's text; the text round-trips every parameter
+// exactly (max_digits10), so equal hashes mean equal weights.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3u;
+  }
+  return h;
+}
+
+// PPO-training bit pins, captured with GCC on x86-64. Training bits depend
+// on whether the compiler may contract a*b+c into an FMA (GCC's default
+// -ffp-contract=fast does whenever the target has FMA, as -march=native does
+// on the reference host), so each flag set carries its own pins.
+struct ppo_training_pins {
+  std::uint64_t fig2_learned_price;
+  std::uint64_t fig2_optimality;
+  std::uint64_t fleet_eval_mean_ratio;
+  std::uint64_t fleet_eval_min_ratio;
+  std::uint64_t fleet_checkpoint_hash;
+};
+#if defined(__FMA__)
+constexpr ppo_training_pins kPpoPins{
+    0x403a2f0f19912740u, 0x3feffd55ea754c72u,
+    0x3fefd0275e48d97eu, 0x3fec2b456bc75af1u,
+    0x0ff30da9777341adu};
+#else
+constexpr ppo_training_pins kPpoPins{
+    0x403a2f0f19912743u, 0x3feffd55ea754c71u,
+    0x3fefd0275e48d97eu, 0x3fec2b456bc75af3u,
+    0x1d3670fb1e59b03eu};
+#endif
 
 }  // namespace
 
@@ -99,8 +142,9 @@ TEST(fig_golden, fig3cd_vmu_sweep_headline) {
 }
 
 // Fig. 2 headline: a short PPO run (E=80, lr=3e-4, seed 42) on the fig2
-// market converges to the Stackelberg equilibrium. RL gets a tolerance band,
-// not a bit pattern: the gate is "still converges this well, this fast".
+// market converges to the Stackelberg equilibrium. The tolerance band is the
+// quality gate ("still converges this well, this fast"); the bit pins make
+// the same run a regression pin on the PPO update itself.
 TEST(fig_golden, fig2_learned_convergence_headline) {
   core::mechanism_config config;
   config.trainer.episodes = 80;
@@ -111,6 +155,28 @@ TEST(fig_golden, fig2_learned_convergence_headline) {
   // Captured optimality at this seed/budget: 0.99967.
   EXPECT_NEAR(result.optimality(), 0.9997, 0.03);
   EXPECT_NEAR(result.learned_price, 26.18, 3.0);
+  // The same run, pinned bit for bit.
+  EXPECT_EQ(bits(result.learned_price), kPpoPins.fig2_learned_price);
+  EXPECT_EQ(bits(result.optimality()), kPpoPins.fig2_optimality);
+}
+
+// A short fleet-pricer training run (100-vehicle harvest, 40 episodes of the
+// default B = 4, γ = λ = 0 PPO schedule), pinned bit for bit: the trained
+// weights (checkpoint hash) and their deterministic eval ratios.
+TEST(fig_golden, fleet_pricer_training_bits) {
+  core::fleet_pricer_config config;
+  core::fleet_config harvest;
+  harvest.vehicle_count = 100;
+  harvest.duration_s = vtm::util::seconds{60.0};
+  harvest.record_migrations = false;
+  harvest.seed = 2023;
+  config.harvest = {harvest};
+  config.episodes = 40;
+  config.seed = 7;
+  const auto result = core::train_fleet_pricer(config);
+  EXPECT_EQ(bits(result.eval_mean_ratio), kPpoPins.fleet_eval_mean_ratio);
+  EXPECT_EQ(bits(result.eval_min_ratio), kPpoPins.fleet_eval_min_ratio);
+  EXPECT_EQ(fnv1a(result.checkpoint), kPpoPins.fleet_checkpoint_hash);
 }
 
 // PR 2's fleet aggregates (joint clearing, per-RSU pools, 8 RSUs, 60 s,

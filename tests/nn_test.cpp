@@ -1,9 +1,12 @@
 // Tests for layers, initializers, optimizers, Gaussian head, serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <sstream>
+#include <vector>
 
 #include "nn/fastmath.hpp"
 #include "nn/gaussian.hpp"
@@ -251,6 +254,177 @@ TEST(clip_grad_norm, leaves_small_gradients_alone) {
   theta.accumulate_grad(nn::tensor({1, 2}, {0.3, 0.4}));
   nn::clip_grad_norm({theta}, 1.0);
   EXPECT_NEAR(theta.grad()(0, 0), 0.3, 1e-12);
+}
+
+// ---- in-place optimizers vs their frozen originals --------------------------
+
+namespace {
+
+// The competitor-aware fleet pricer's actor-critic, parameter by parameter:
+// 11 -> 64 -> 64 trunk, mean and value heads, log-std. 5,059 parameters.
+const std::vector<nn::shape> kPricerShapes{{11, 64}, {1, 64}, {64, 64},
+                                           {1, 64},  {64, 1}, {1, 1},
+                                           {64, 1},  {1, 1},  {1, 1}};
+
+bool bitwise_equal(const nn::tensor& a, const nn::tensor& b) {
+  if (a.dims() != b.dims()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a.flat()[i]) !=
+        std::bit_cast<std::uint64_t>(b.flat()[i]))
+      return false;
+  return true;
+}
+
+// The optimizers and clip as they were before they updated in place, frozen
+// verbatim except that they act on plain tensors: each step copies the
+// value, updates the copy and writes it back; clipping accumulates a scaled
+// copy into a zeroed gradient.
+struct reference_adam {
+  double lr;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double eps = 1e-8;
+  std::size_t t = 0;
+  std::vector<nn::tensor> m_state;
+  std::vector<nn::tensor> v_state;
+
+  void step(std::vector<nn::tensor>& values, std::vector<nn::tensor>& grads) {
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      nn::tensor value = values[i];
+      const nn::tensor& grad = grads[i];
+      for (std::size_t j = 0; j < value.size(); ++j) {
+        const double g = grad.flat()[j];
+        double& m = m_state[i].flat()[j];
+        double& v = v_state[i].flat()[j];
+        m = beta1 * m + (1.0 - beta1) * g;
+        v = beta2 * v + (1.0 - beta2) * g * g;
+        const double m_hat = m / bc1;
+        const double v_hat = v / bc2;
+        value.flat()[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      }
+      values[i] = std::move(value);
+    }
+    for (auto& g : grads) g.fill(0.0);
+  }
+};
+
+struct reference_sgd {
+  double lr;
+  double momentum;
+  std::vector<nn::tensor> velocity;
+
+  void step(std::vector<nn::tensor>& values, std::vector<nn::tensor>& grads) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      nn::tensor value = values[i];
+      const nn::tensor& grad = grads[i];
+      for (std::size_t j = 0; j < value.size(); ++j) {
+        double& vel = velocity[i].flat()[j];
+        vel = momentum * vel + grad.flat()[j];
+        value.flat()[j] -= lr * vel;
+      }
+      values[i] = std::move(value);
+    }
+    for (auto& g : grads) g.fill(0.0);
+  }
+};
+
+double reference_clip_grad_norm(std::vector<nn::tensor>& grads,
+                                double max_norm) {
+  double sq = 0.0;
+  for (const auto& grad : grads)
+    for (double g : grad.flat()) sq += g * g;
+  const double norm = std::sqrt(sq);
+  if (norm > max_norm && norm > 0.0) {
+    const double scale = max_norm / norm;
+    for (auto& grad : grads) {
+      nn::tensor scaled = grad * scale;
+      grad.fill(0.0);
+      grad += scaled;
+    }
+  }
+  return norm;
+}
+
+std::vector<nn::tensor> zeros_like_pricer() {
+  std::vector<nn::tensor> out;
+  for (const auto s : kPricerShapes) out.emplace_back(s);
+  return out;
+}
+
+// Drives an optimizer and its frozen original through 200 steps of the same
+// random gradients, clipped at 0.5. Every fifth step's gradients are small
+// enough that the clip leaves them alone; the rest are clipped. Requires
+// bitwise-equal clip norms, clipped gradients and parameter values.
+template <class Optimizer, class Reference>
+void expect_matches_reference(Optimizer& opt, std::vector<nn::variable>& params,
+                              Reference& ref) {
+  std::vector<nn::tensor> ref_values;
+  for (const auto& p : params) ref_values.push_back(p.value());
+  std::vector<nn::tensor> ref_grads = zeros_like_pricer();
+  vtm::util::rng gen(23);
+  std::size_t clipped = 0;
+  std::size_t unclipped = 0;
+  for (std::size_t step = 0; step < 200; ++step) {
+    const double sigma = step % 5 == 4 ? 1e-3 : 0.1;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      nn::tensor g(kPricerShapes[i]);
+      for (double& x : g.flat()) x = sigma * gen.normal();
+      params[i].accumulate_grad(g);
+      ref_grads[i] += g;
+    }
+    const double norm = nn::clip_grad_norm(params, 0.5);
+    const double ref_norm = reference_clip_grad_norm(ref_grads, 0.5);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(norm),
+              std::bit_cast<std::uint64_t>(ref_norm))
+        << "step " << step;
+    ++(norm > 0.5 ? clipped : unclipped);
+    for (std::size_t i = 0; i < params.size(); ++i)
+      ASSERT_TRUE(bitwise_equal(params[i].grad(), ref_grads[i]))
+          << "clipped gradient " << i << " at step " << step;
+    opt.step();
+    ref.step(ref_values, ref_grads);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      ASSERT_TRUE(bitwise_equal(params[i].value(), ref_values[i]))
+          << "parameter " << i << " at step " << step;
+      ASSERT_TRUE(bitwise_equal(params[i].grad(), ref_grads[i]));
+    }
+  }
+  EXPECT_EQ(clipped, 160u);
+  EXPECT_EQ(unclipped, 40u);
+}
+
+std::vector<nn::variable> pricer_parameters() {
+  vtm::util::rng gen(19);
+  std::vector<nn::variable> params;
+  std::size_t count = 0;
+  for (const auto s : kPricerShapes) {
+    nn::tensor t(s);
+    for (double& x : t.flat()) x = 0.1 * gen.normal();
+    count += t.size();
+    params.push_back(nn::variable::parameter(std::move(t)));
+  }
+  EXPECT_EQ(count, 5059u);
+  return params;
+}
+
+}  // namespace
+
+TEST(adam, in_place_step_matches_frozen_original_bitwise) {
+  auto params = pricer_parameters();
+  nn::adam opt(params, 3e-4);
+  reference_adam ref{3e-4, 0.9, 0.999, 1e-8, 0, zeros_like_pricer(),
+                     zeros_like_pricer()};
+  expect_matches_reference(opt, params, ref);
+}
+
+TEST(sgd, in_place_step_matches_frozen_original_bitwise) {
+  auto params = pricer_parameters();
+  nn::sgd opt(params, 1e-2, 0.9);
+  reference_sgd ref{1e-2, 0.9, zeros_like_pricer()};
+  expect_matches_reference(opt, params, ref);
 }
 
 // ---- gaussian head -----------------------------------------------------------------

@@ -116,7 +116,8 @@ TEST(buffer, sample_returns_distinct_indices) {
   for (int i = 0; i < 8; ++i) add_step(buffer, i, 0.0);
   buffer.compute_advantages(0.0, 0.0, 0.0);
   vtm::util::rng gen(3);
-  const auto batch = buffer.sample(8, gen, false);
+  rl::minibatch batch;
+  buffer.sample(8, gen, batch, false);
   std::vector<double> seen;
   for (std::size_t i = 0; i < 8; ++i) seen.push_back(batch.advantages(i, 0));
   std::sort(seen.begin(), seen.end());

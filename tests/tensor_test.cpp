@@ -1,11 +1,72 @@
 // Unit tests for vtm::nn::tensor.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "nn/tensor.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace nn = vtm::nn;
+
+namespace {
+
+nn::tensor random_tensor(nn::shape s, vtm::util::rng& gen) {
+  nn::tensor t(s);
+  for (auto& x : t.flat()) x = gen.normal();
+  return t;
+}
+
+// True when both tensors have the same shape and bit-identical elements.
+bool bitwise_equal(const nn::tensor& a, const nn::tensor& b) {
+  if (a.dims() != b.dims()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a.flat()[i]) !=
+        std::bit_cast<std::uint64_t>(b.flat()[i]))
+      return false;
+  return true;
+}
+
+// The matmul every trained policy was produced with, frozen verbatim: ikj
+// order, each 4-term k-group sum added into the zeroed output row, then the
+// scalar tail. Built with the same flags as the library, it contracts into
+// FMAs the same way, so the kernels under test must match it bit for bit.
+nn::tensor reference_matmul(const nn::tensor& lhs, const nn::tensor& rhs) {
+  nn::tensor out({lhs.rows(), rhs.cols()});
+  const std::size_t n = lhs.rows();
+  const std::size_t inner = lhs.cols();
+  const std::size_t m = rhs.cols();
+  const std::size_t inner4 = inner & ~std::size_t{3};
+  const double* __restrict lhs_data = lhs.flat().data();
+  const double* __restrict rhs_data = rhs.flat().data();
+  double* __restrict out_data = out.flat().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* __restrict out_row = out_data + i * m;
+    const double* __restrict lhs_row = lhs_data + i * inner;
+    for (std::size_t k = 0; k < inner4; k += 4) {
+      const double a0 = lhs_row[k];
+      const double a1 = lhs_row[k + 1];
+      const double a2 = lhs_row[k + 2];
+      const double a3 = lhs_row[k + 3];
+      const double* __restrict b0 = rhs_data + k * m;
+      const double* __restrict b1 = b0 + m;
+      const double* __restrict b2 = b1 + m;
+      const double* __restrict b3 = b2 + m;
+      for (std::size_t j = 0; j < m; ++j)
+        out_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+    }
+    for (std::size_t k = inner4; k < inner; ++k) {
+      const double a = lhs_row[k];
+      const double* __restrict rhs_row = rhs_data + k * m;
+      for (std::size_t j = 0; j < m; ++j) out_row[j] += a * rhs_row[j];
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 TEST(tensor, default_is_empty) {
   nn::tensor t;
@@ -95,6 +156,86 @@ TEST(tensor, matmul_associative) {
   const auto left = a.matmul(b).matmul(c);
   const auto right = a.matmul(b.matmul(c));
   EXPECT_TRUE(left.allclose(right, 1e-9));
+}
+
+// Inner dims cover the unrolled k-groups alone (20, 64), the scalar tail
+// alone (1, 3) and both (11); output widths cover whole register blocks
+// (16, 64), a block plus leftovers (17), leftovers only (3) and the
+// 1-column heads.
+const std::vector<std::size_t> kRows{1, 5, 20};
+const std::vector<std::size_t> kInner{1, 3, 11, 20, 64};
+const std::vector<std::size_t> kCols{1, 3, 16, 17, 64};
+
+TEST(tensor, matmul_matches_reference_kernel_bitwise) {
+  vtm::util::rng gen(11);
+  for (const std::size_t n : kRows)
+    for (const std::size_t inner : kInner)
+      for (const std::size_t m : kCols) {
+        const auto a = random_tensor({n, inner}, gen);
+        const auto b = random_tensor({inner, m}, gen);
+        EXPECT_TRUE(bitwise_equal(a.matmul(b), reference_matmul(a, b)))
+            << n << "x" << inner << " . " << inner << "x" << m;
+      }
+}
+
+// Both accumulate paths: a zero target takes the product in place, a
+// non-zero one adds it from scratch storage.
+TEST(tensor, add_matmul_tn_equals_adding_transposed_matmul_bitwise) {
+  vtm::util::rng gen(13);
+  for (const std::size_t n : kRows)
+    for (const std::size_t inner : kInner)
+      for (const std::size_t m : kCols) {
+        // (inner x n)^T · (inner x m): the dW = A^T·G shape of backward.
+        const auto a = random_tensor({inner, n}, gen);
+        const auto b = random_tensor({inner, m}, gen);
+        const auto base = random_tensor({n, m}, gen);
+        nn::tensor from_zero({n, m});
+        from_zero.add_matmul_tn(a, b);
+        EXPECT_TRUE(bitwise_equal(from_zero, a.transposed().matmul(b)))
+            << inner << "x" << n << "^T . " << inner << "x" << m;
+        EXPECT_TRUE(
+            bitwise_equal(from_zero, reference_matmul(a.transposed(), b)));
+        nn::tensor onto_base = base;
+        onto_base.add_matmul_tn(a, b);
+        EXPECT_TRUE(
+            bitwise_equal(onto_base, base + a.transposed().matmul(b)));
+      }
+}
+
+TEST(tensor, add_matmul_nt_equals_adding_matmul_of_transpose_bitwise) {
+  vtm::util::rng gen(17);
+  for (const std::size_t n : kRows)
+    for (const std::size_t inner : kInner)
+      for (const std::size_t m : kCols) {
+        // (n x inner) · (m x inner)^T: the dX = G·W^T shape of backward.
+        const auto a = random_tensor({n, inner}, gen);
+        const auto b = random_tensor({m, inner}, gen);
+        const auto base = random_tensor({n, m}, gen);
+        nn::tensor from_zero({n, m});
+        from_zero.add_matmul_nt(a, b);
+        EXPECT_TRUE(bitwise_equal(from_zero, a.matmul(b.transposed())))
+            << n << "x" << inner << " . " << m << "x" << inner << "^T";
+        EXPECT_TRUE(
+            bitwise_equal(from_zero, reference_matmul(a, b.transposed())));
+        nn::tensor onto_base = base;
+        onto_base.add_matmul_nt(a, b);
+        EXPECT_TRUE(
+            bitwise_equal(onto_base, base + a.matmul(b.transposed())));
+      }
+}
+
+TEST(tensor, transposed_products_reject_mismatched_dims) {
+  const nn::tensor a({2, 3});
+  const nn::tensor b({4, 3});
+  nn::tensor out({2, 4});
+  EXPECT_THROW(out.add_matmul_tn(a, b), vtm::util::contract_error);
+  EXPECT_THROW(out.add_matmul_nt(a, nn::tensor({3, 2})),
+               vtm::util::contract_error);
+  nn::tensor wrong_shape({4, 2});
+  EXPECT_THROW(wrong_shape.add_matmul_nt(a, b), vtm::util::contract_error);
+  EXPECT_NO_THROW(out.add_matmul_nt(a, b));
+  nn::tensor tn_out({3, 5});
+  EXPECT_NO_THROW(tn_out.add_matmul_tn(b, nn::tensor({4, 5})));
 }
 
 TEST(tensor, transpose_involution) {
