@@ -96,8 +96,9 @@ struct fleet_telemetry {
 };
 
 /// Fleet shape, economics, and clearing semantics. Physical fields are typed
-/// quantities (util/quantity.hpp); the engine unwraps via `.value()` at the
-/// point of use, so the arithmetic — and the tier-2 goldens — stay bitwise.
+/// quantities (util/quantity.hpp). Every sim/wireless API takes raw
+/// unit-suffixed doubles; the engine unwraps a field with `.value()` where
+/// it hands the field to one (DESIGN.md §15).
 struct fleet_config {
   // Geometry / fleet shape.
   std::size_t rsu_count = 8;
@@ -202,13 +203,6 @@ struct fleet_config {
   /// conservative window barriers. 1 = the serial engine (bitwise identical
   /// to the pre-shard code); requires shard_count <= RSU count.
   std::size_t shard_count = 1;
-  /// Synchronization window length in seconds; <= 0 derives it from the
-  /// chain's minimum boundary travel time at `max_speed_mps` (snapped to a
-  /// clearing-epoch multiple so grid clearings land on barriers). Any
-  /// positive value is *safe* — late boundary crossings are clamped to the
-  /// next barrier and counted in `fleet_result::late_handoffs` — but windows
-  /// longer than the lookahead trade fidelity for fewer barriers.
-  util::seconds window_s{0.0};
 
   // Observability (DESIGN.md §16). Results are invariant to both: metrics
   // merge deterministically at barriers, spans only read, and the logger's
@@ -277,9 +271,6 @@ struct fleet_result {
     const fleet_config& base, std::span<const std::uint64_t> seeds,
     std::size_t threads);
 
-/// Sentinel: never reseed a streaming run.
-inline constexpr std::size_t no_reseed = static_cast<std::size_t>(-1);
-
 /// Streaming (open-system) fleet run: vehicles arrive as a Poisson process
 /// over an unbounded horizon instead of all spawning at t = 0, completed
 /// twins retire and their slots are recycled, and results flush in periodic
@@ -293,13 +284,6 @@ struct streaming_config {
   util::per_second arrival_rate_per_s{5.0};  ///< Poisson arrival λ.
   util::seconds horizon_s{600.0};      ///< Arrival-admission horizon.
   util::seconds flush_period_s{60.0};  ///< Window length between flushes.
-  /// Mid-stream reseed check: after emitting flush `reseed_flush`, replace
-  /// the RNG with a fresh `reseed_seed` stream. Flushes 0..reseed_flush are
-  /// bitwise-unaffected (all pre-reseed draws land in earlier windows), and
-  /// two runs with the same reseed are bitwise-identical throughout —
-  /// tests/streaming_fleet_test.cpp pins both.
-  std::size_t reseed_flush = no_reseed;
-  std::uint64_t reseed_seed = 0;
 };
 
 /// Outcome of a streaming run. `flushes[k]` covers window k only (counters

@@ -25,10 +25,16 @@ sim::rsu_chain make_chain(const fleet_config& config) {
     return sim::rsu_chain(config.graph->rsu_count(),
                           2.0 * config.graph->coverage_radius_m(),
                           config.graph->coverage_radius_m());
-  if (!config.rsu_positions_m.empty())
-    return sim::rsu_chain(config.rsu_positions_m, config.coverage_radius_m);
-  return sim::rsu_chain(config.rsu_count, config.rsu_spacing_m,
-                        config.coverage_radius_m);
+  if (!config.rsu_positions_m.empty()) {
+    std::vector<double> centers_m;
+    centers_m.reserve(config.rsu_positions_m.size());
+    for (const util::meters c : config.rsu_positions_m)
+      centers_m.push_back(c.value());
+    return sim::rsu_chain(std::move(centers_m),
+                          config.coverage_radius_m.value());
+  }
+  return sim::rsu_chain(config.rsu_count, config.rsu_spacing_m.value(),
+                        config.coverage_radius_m.value());
 }
 
 /// Validate, then collapse a degenerate single-path graph back onto the
@@ -42,12 +48,13 @@ fleet_config normalized(fleet_config config) {
   if (const auto view = config.graph->as_chain()) {
     if (view->uniform) {
       config.rsu_count = view->count;
-      config.rsu_spacing_m = view->spacing_m;
+      config.rsu_spacing_m = util::meters{view->spacing_m};
       config.rsu_positions_m.clear();
     } else {
-      config.rsu_positions_m = view->centers_m;
+      config.rsu_positions_m = std::vector<util::meters>(
+          view->centers_m.begin(), view->centers_m.end());
     }
-    config.coverage_radius_m = view->coverage_radius_m;
+    config.coverage_radius_m = util::meters{view->coverage_radius_m};
     config.graph.reset();
   }
   return config;
@@ -271,7 +278,7 @@ shard_engine::shard_engine(const fleet_config& config,
     for (std::size_t m = 0; m < msps_.size(); ++m) {
       msp_pools_[m].reserve(rsu_count);
       for (std::size_t p = 0; p < rsu_count; ++p)
-        msp_pools_[m].emplace_back(msps_[m].bandwidth_per_pool_mhz);
+        msp_pools_[m].emplace_back(msps_[m].bandwidth_per_pool_mhz.value());
     }
     competitive_market_config book_config;
     book_config.msps = msps_;
@@ -325,7 +332,7 @@ shard_engine::shard_engine(const fleet_config& config,
     pool_links_.push_back(link);
     budgets_.emplace_back(link);
     market_config.link = link;
-    pools_.emplace_back(config.bandwidth_per_pool_mhz);
+    pools_.emplace_back(config.bandwidth_per_pool_mhz.value());
     markets_.emplace_back(market_config);
   }
   clearing_scheduled_.assign(rsu_count, false);
@@ -965,9 +972,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
       gen_(config_.seed),
       mailbox_(config_.shard_count),
       pool_(config_.shard_count > 1 ? config_.shard_count - 1 : 0) {
-  window_s_ = config_.window_s > util::seconds{0.0}
-                  ? config_.window_s.value()
-                  : auto_window_s(config_, chain_);
+  window_s_ = auto_window_s(config_, chain_);
 
   // Contiguous balanced partition of the chain into shards.
   const std::size_t shard_count = config_.shard_count;
@@ -992,7 +997,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
   // on one pool, so it is rejected up front (reduce the offset or the shard
   // count).
   for (const auto& msp : resolved_fleet_msps(config_))
-    msp_chains_.push_back(chain_.shifted(msp.chain_offset_m));
+    msp_chains_.push_back(chain_.shifted(msp.chain_offset_m.value()));
   const sim::chain_set candidate_chains(msp_chains_);
   for (std::size_t r = 0; r < chain_.count(); ++r)
     for (const std::size_t candidate :
@@ -1287,9 +1292,9 @@ void shard_coordinator::inject_arrivals(double upto) {
   std::size_t admitted = 0;
   for (;;) {
     if (!arrival_pending_) {
-      // Poisson arrivals: exponential inter-arrival gaps. The undrawn-gap
-      // flag keeps the stream exact across reseeds — a drawn-but-unadmitted
-      // arrival survives window barriers, and a reseed discards it.
+      // Poisson arrivals: exponential inter-arrival gaps. The flag keeps a
+      // drawn-but-unadmitted arrival (one past this window's end) across the
+      // window barrier, so each gap is drawn exactly once.
       next_arrival_s_ += gen_.exponential(stream_.arrival_rate_per_s.value());
       arrival_pending_ = true;
     }
@@ -1494,7 +1499,6 @@ streaming_result shard_coordinator::run_stream() {
 
   bool draining = false;
   double next_flush = stream_.flush_period_s.value();
-  std::size_t flush_index = 0;
   pool_.run_phased(
       shards_.size(),
       [&](std::size_t lane, std::size_t) {
@@ -1513,22 +1517,6 @@ streaming_result shard_coordinator::run_stream() {
         // conservation holds per window by the exactly-once ledger.
         while (next_flush <= t_end) {
           flushes_.push_back(flush_window(/*final=*/false));
-          if (flush_index == stream_.reseed_flush) {
-            // Mid-stream reseed: every pre-reseed draw fed an arrival
-            // admitted at or before t_end, whose events landed in this or
-            // an earlier flush — so flushes 0..reseed_flush are
-            // bitwise-unaffected, and the stream restarts cleanly from the
-            // admitted-up-to point.
-            if (config_.log.enabled(util::log_level::info))
-              config_.log.info("stream reseed at flush " +
-                               std::to_string(flush_index) + " (seed " +
-                               std::to_string(stream_.reseed_seed) + ")");
-            gen_ = util::rng(stream_.reseed_seed);
-            arrival_pending_ = false;
-            next_arrival_s_ = t_end;
-            platoon_left_ = 0;
-          }
-          ++flush_index;
           next_flush += stream_.flush_period_s.value();
         }
         if (t_end >= horizon) {

@@ -404,8 +404,6 @@ class shard_coordinator {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// Resolved synchronization window (seconds).
-  [[nodiscard]] double window_s() const noexcept { return window_s_; }
   [[nodiscard]] shard_engine& shard(std::size_t i) { return *shards_[i]; }
 
   /// The coordinator's own trace lane (lane index `shard_count()` of the

@@ -9,11 +9,11 @@ namespace vtm::sim {
 std::vector<double> twin_block_sizes(const vehicular_twin& twin) {
   std::vector<double> blocks;
   blocks.reserve(2 + twin.config().memory_pages);
-  if (twin.config().system_config_mb > util::megabytes{0.0})
+  if (twin.config().system_config_mb.value() > 0.0)
     blocks.push_back(twin.config().system_config_mb.value());
   for (std::size_t p = 0; p < twin.config().memory_pages; ++p)
     blocks.push_back(twin.config().page_mb.value());
-  if (twin.config().runtime_state_mb > util::megabytes{0.0})
+  if (twin.config().runtime_state_mb.value() > 0.0)
     blocks.push_back(twin.config().runtime_state_mb.value());
   return blocks;
 }

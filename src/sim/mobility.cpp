@@ -43,20 +43,6 @@ rsu_chain::rsu_chain(std::vector<double> centers_m, double coverage_radius_m)
                                  : 2.0 * radius_;
 }
 
-namespace {
-[[nodiscard]] std::vector<double> unwrap(
-    const std::vector<util::meters>& centers) {
-  std::vector<double> raw;
-  raw.reserve(centers.size());
-  for (const util::meters c : centers) raw.push_back(c.value());
-  return raw;
-}
-}  // namespace
-
-rsu_chain::rsu_chain(const std::vector<util::meters>& centers,
-                     util::meters coverage_radius)
-    : rsu_chain(unwrap(centers), coverage_radius.value()) {}
-
 double rsu_chain::center_m(std::size_t i) const {
   VTM_EXPECTS(i < centers_.size());
   return centers_[i];

@@ -11,8 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "util/quantity.hpp"
-
 namespace vtm::sim {
 
 /// Kinematic state of one vehicle on the highway. Hot engine state, not a
@@ -24,12 +22,6 @@ struct vehicle_state {
 
 /// Advance a vehicle by `dt` seconds of constant-speed motion. dt >= 0.
 [[nodiscard]] vehicle_state advance(vehicle_state v, double dt);
-
-/// Typed sibling of `advance` (a meters-for-seconds mixup is a compile
-/// error: there is no conversion from any other quantity into `seconds`).
-[[nodiscard]] inline vehicle_state advance(vehicle_state v, util::seconds dt) {
-  return advance(v, dt.value());
-}
 
 /// Geometry of an RSU chain along the highway.
 class rsu_chain {
@@ -44,37 +36,9 @@ class rsu_chain {
   /// (radius >= max gap / 2). `spacing_m()` then reports the mean gap.
   rsu_chain(std::vector<double> centers_m, double coverage_radius_m);
 
-  /// Typed siblings of the two constructors.
-  rsu_chain(std::size_t count, util::meters spacing,
-            util::meters coverage_radius)
-      : rsu_chain(count, spacing.value(), coverage_radius.value()) {}
-  rsu_chain(const std::vector<util::meters>& centers,
-            util::meters coverage_radius);
-
   [[nodiscard]] std::size_t count() const noexcept { return centers_.size(); }
   [[nodiscard]] double spacing_m() const noexcept { return spacing_; }
   [[nodiscard]] double coverage_radius_m() const noexcept { return radius_; }
-
-  /// Typed siblings of the geometry accessors.
-  [[nodiscard]] util::meters spacing() const noexcept {
-    return util::meters{spacing_};
-  }
-  [[nodiscard]] util::meters coverage_radius() const noexcept {
-    return util::meters{radius_};
-  }
-  [[nodiscard]] util::meters center(std::size_t i) const {
-    return util::meters{center_m(i)};
-  }
-  [[nodiscard]] util::meters handover_position(std::size_t i) const {
-    return util::meters{handover_position_m(i)};
-  }
-  [[nodiscard]] util::meters link_distance(std::size_t i,
-                                           std::size_t j) const {
-    return util::meters{link_distance_m(i, j)};
-  }
-  [[nodiscard]] std::size_t serving_rsu(util::meters position) const noexcept {
-    return serving_rsu(position.value());
-  }
 
   /// Centre position of RSU `i`. Requires i < count().
   [[nodiscard]] double center_m(std::size_t i) const;
@@ -106,11 +70,6 @@ class rsu_chain {
   /// coverage contiguity are preserved, so any finite offset is valid).
   /// Models a second operator's RSU deployment along the same highway.
   [[nodiscard]] rsu_chain shifted(double offset_m) const;
-
-  /// Typed sibling of `shifted`.
-  [[nodiscard]] rsu_chain shifted(util::meters offset) const {
-    return shifted(offset.value());
-  }
 
  private:
   std::vector<double> centers_;

@@ -9,8 +9,8 @@ namespace vtm::sim {
 migration_report run_precopy(const vehicular_twin& twin, double rate_mb_s,
                              const precopy_params& params) {
   VTM_EXPECTS(rate_mb_s > 0.0);
-  VTM_EXPECTS(params.dirty_rate_mb_s >= util::mb_per_s{0.0});
-  VTM_EXPECTS(params.stop_copy_threshold_mb > util::megabytes{0.0});
+  VTM_EXPECTS(params.dirty_rate_mb_s.value() >= 0.0);
+  VTM_EXPECTS(params.stop_copy_threshold_mb.value() > 0.0);
   VTM_EXPECTS(params.max_rounds >= 1);
 
   migration_report report;
@@ -19,7 +19,7 @@ migration_report run_precopy(const vehicular_twin& twin, double rate_mb_s,
   // Phase 0: system-configuration block, pushed while the twin stays live.
   // Dirtying during this phase counts against the memory image, but the image
   // is already fully pending, so it does not grow beyond memory_mb.
-  if (twin.config().system_config_mb > util::megabytes{0.0}) {
+  if (twin.config().system_config_mb.value() > 0.0) {
     migration_round config_round;
     config_round.index = report.rounds.size();
     config_round.sent_mb = twin.config().system_config_mb.value();

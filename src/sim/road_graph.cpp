@@ -261,7 +261,7 @@ std::optional<chain_view> road_graph::as_chain() const {
   if (radius_ < max_gap / 2.0) return std::nullopt;
 
   chain_view view;
-  view.coverage_radius_m = util::meters{radius_};
+  view.coverage_radius_m = radius_;
   view.count = route.sites.size();
   const double spacing = route.site_pos_m.front();
   bool uniform = spacing > 0.0 && radius_ >= spacing / 2.0;
@@ -269,11 +269,9 @@ std::optional<chain_view> road_graph::as_chain() const {
     uniform = route.site_pos_m[i] == spacing * static_cast<double>(i + 1);
   if (uniform) {
     view.uniform = true;
-    view.spacing_m = util::meters{spacing};
+    view.spacing_m = spacing;
   } else {
-    view.centers_m.reserve(route.site_pos_m.size());
-    for (const double c : route.site_pos_m)
-      view.centers_m.push_back(util::meters{c});
+    view.centers_m = route.site_pos_m;
   }
   return view;
 }

@@ -66,14 +66,12 @@ struct road_route {
 /// The chain a degenerate (single-path) graph collapses to. `uniform` keeps
 /// the exact count x spacing arithmetic of the legacy uniform chain (bitwise
 /// golden reproduction); otherwise `centers_m` holds explicit centres.
-/// Geometry is typed (util/quantity.hpp) — the view feeds straight into the
-/// typed `fleet_config` geometry fields.
 struct chain_view {
   bool uniform = false;
   std::size_t count = 0;
-  util::meters spacing_m{0.0};
-  std::vector<util::meters> centers_m;
-  util::meters coverage_radius_m{0.0};
+  double spacing_m = 0.0;
+  std::vector<double> centers_m;
+  double coverage_radius_m = 0.0;
 };
 
 class road_graph {
@@ -111,18 +109,6 @@ class road_graph {
   [[nodiscard]] static road_graph grid(std::size_t rows, std::size_t cols,
                                        double edge_length_m,
                                        double coverage_radius_m);
-
-  /// Typed siblings of the two factories.
-  [[nodiscard]] static road_graph path(std::size_t rsu_count,
-                                       util::meters spacing,
-                                       util::meters coverage_radius) {
-    return path(rsu_count, spacing.value(), coverage_radius.value());
-  }
-  [[nodiscard]] static road_graph grid(std::size_t rows, std::size_t cols,
-                                       util::meters edge_length,
-                                       util::meters coverage_radius) {
-    return grid(rows, cols, edge_length.value(), coverage_radius.value());
-  }
 
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
@@ -162,18 +148,6 @@ class road_graph {
   /// downstream gap, then to one coverage diameter — mirroring the chain
   /// engine's RSU-0 downstream-gap convention.
   [[nodiscard]] double upstream_gap_m(std::size_t s) const;
-
-  /// Typed siblings of the distance accessors.
-  [[nodiscard]] util::meters coverage_radius() const noexcept {
-    return util::meters{radius_};
-  }
-  [[nodiscard]] util::meters site_distance(std::size_t a,
-                                           std::size_t b) const {
-    return util::meters{site_distance_m(a, b)};
-  }
-  [[nodiscard]] util::meters upstream_gap(std::size_t s) const {
-    return util::meters{upstream_gap_m(s)};
-  }
 
   [[nodiscard]] double min_route_length_m() const noexcept {
     return min_route_length_;

@@ -8,10 +8,10 @@ namespace vtm::sim {
 
 vehicular_twin::vehicular_twin(std::uint64_t vmu_id, const vt_config& config)
     : vmu_id_(vmu_id), config_(config) {
-  VTM_EXPECTS(config.system_config_mb >= util::megabytes{0.0});
-  VTM_EXPECTS(config.runtime_state_mb >= util::megabytes{0.0});
+  VTM_EXPECTS(config.system_config_mb.value() >= 0.0);
+  VTM_EXPECTS(config.runtime_state_mb.value() >= 0.0);
   VTM_EXPECTS(config.memory_pages == 0 ||
-              config.page_mb > util::megabytes{0.0});
+              config.page_mb.value() > 0.0);
 }
 
 vehicular_twin vehicular_twin::with_total_mb(std::uint64_t vmu_id,
@@ -30,7 +30,7 @@ vehicular_twin vehicular_twin::with_total_mb(std::uint64_t vmu_id,
   const double actual_memory =
       static_cast<double>(config.memory_pages) * page_mb;
   config.runtime_state_mb += util::megabytes{memory_mb - actual_memory};
-  if (config.runtime_state_mb < util::megabytes{0.0})
+  if (config.runtime_state_mb.value() < 0.0)
     config.runtime_state_mb = util::megabytes{0.0};
   return vehicular_twin(vmu_id, config);
 }

@@ -6,24 +6,22 @@
 
 namespace vtm::util {
 
-double db_to_linear(double db) noexcept { return std::pow(10.0, db / 10.0); }
+watts to_watts(dbm power) noexcept {
+  return watts{std::pow(10.0, (power.value() - 30.0) / 10.0)};
+}
 
-double linear_to_db(double linear) {
+dbm to_dbm(watts power) {
+  VTM_EXPECTS(power.value() > 0.0);
+  return dbm{10.0 * std::log10(power.value()) + 30.0};
+}
+
+double to_linear(db gain) noexcept {
+  return std::pow(10.0, gain.value() / 10.0);
+}
+
+db to_db(double linear) {
   VTM_EXPECTS(linear > 0.0);
-  return 10.0 * std::log10(linear);
+  return db{10.0 * std::log10(linear)};
 }
-
-double dbm_to_watt(double dbm) noexcept {
-  return std::pow(10.0, (dbm - 30.0) / 10.0);
-}
-
-double watt_to_dbm(double watt) {
-  VTM_EXPECTS(watt > 0.0);
-  return 10.0 * std::log10(watt) + 30.0;
-}
-
-double megabytes_to_bits(double mb) noexcept { return mb * 8.0e6; }
-
-double mhz_to_hz(double mhz) noexcept { return mhz * 1.0e6; }
 
 }  // namespace vtm::util

@@ -3,67 +3,31 @@
 // The paper states channel parameters in logarithmic units (dBm / dB); all
 // internal computation is done in linear SI units (watts / unitless gains).
 //
-// Two parallel surfaces: the raw-double helpers (the legacy spelling, kept
-// for records/tensors and hot-loop internals that already unwrapped), and
-// typed overloads over util/quantity.hpp that make the unit crossing —
-// notably the only dbm → watts path — explicit in the type system. The typed
-// overloads forward to the raw helpers, so both spellings are bitwise
-// identical by construction (tests/property_test.cpp pins this).
+// One spelling per conversion: each function takes the typed quantity a
+// `*_config`/`*_params` field holds (util/quantity.hpp), so the unit
+// crossing — notably the only dbm → watts path — is explicit in the type
+// system. Code past the config boundary works in raw unit-suffixed doubles
+// (DESIGN.md §15).
 #pragma once
 
 #include "util/quantity.hpp"
 
 namespace vtm::util {
 
-/// Convert a decibel ratio to a linear ratio: 10^(db/10).
-[[nodiscard]] double db_to_linear(double db) noexcept;
-
-/// Convert a linear ratio to decibels: 10·log10(x). Requires x > 0.
-[[nodiscard]] double linear_to_db(double linear);
-
-/// Convert a power level in dBm to watts: 10^((dbm−30)/10).
-[[nodiscard]] double dbm_to_watt(double dbm) noexcept;
-
-/// Convert a power level in watts to dBm. Requires watt > 0.
-[[nodiscard]] double watt_to_dbm(double watt);
-
-/// Megabytes → bits (1 MB = 8·10^6 bits, decimal convention).
-[[nodiscard]] double megabytes_to_bits(double mb) noexcept;
-
-/// Megahertz → hertz.
-[[nodiscard]] double mhz_to_hz(double mhz) noexcept;
-
-// --- typed overloads (the only dbm/db ↔ linear crossings) --------------------
-
 /// dBm → watts, the explicit logarithmic → linear power conversion (there is
-/// deliberately no arithmetic path between `dbm` and `watts`).
-[[nodiscard]] inline watts to_watts(dbm power) noexcept {
-  return watts{dbm_to_watt(power.value())};
-}
+/// deliberately no arithmetic path between `dbm` and `watts`):
+/// 10^((dbm−30)/10).
+[[nodiscard]] watts to_watts(dbm power) noexcept;
 
-/// Watts → dBm. Requires a positive power.
-[[nodiscard]] inline dbm to_dbm(watts power) {
-  return dbm{watt_to_dbm(power.value())};
-}
+/// Watts → dBm: 10·log10(w) + 30. Requires a positive power. The inverse of
+/// `to_watts` (the round-trip property tests use it as the reference).
+[[nodiscard]] dbm to_dbm(watts power);
 
-/// dB gain → linear (dimensionless) ratio.
-[[nodiscard]] inline double to_linear(db gain) noexcept {
-  return db_to_linear(gain.value());
-}
+/// dB gain → linear (dimensionless) ratio: 10^(db/10).
+[[nodiscard]] double to_linear(db gain) noexcept;
 
-/// Linear (dimensionless) ratio → dB. Requires a positive ratio.
-[[nodiscard]] inline db to_db(double linear) {
-  return db{linear_to_db(linear)};
-}
-
-/// Data volume → bits (decimal convention, matching `megabytes_to_bits`).
-[[nodiscard]] inline double to_bits(megabytes volume) noexcept {
-  return megabytes_to_bits(volume.value());
-}
-
-/// Bandwidth → hertz.
-[[nodiscard]] inline double to_hz(megahertz bandwidth) noexcept {
-  return mhz_to_hz(bandwidth.value());
-}
+/// Linear (dimensionless) ratio → dB: 10·log10(x). Requires a positive
+/// ratio. The inverse of `to_linear`.
+[[nodiscard]] db to_db(double linear);
 
 }  // namespace vtm::util

@@ -8,11 +8,18 @@
 namespace vtm::wireless {
 
 link_budget::link_budget(const link_params& params) : params_(params) {
-  VTM_EXPECTS(params.distance_m > util::meters{0.0});
-  VTM_EXPECTS(params.path_loss_exponent >= 0.0);
+  // Non-finite levels or distances would otherwise surface as a NaN, infinite
+  // or zero spectral efficiency, and transfer times would divide by it.
+  const double distance_m = params.distance_m.value();
+  VTM_EXPECTS(std::isfinite(params.tx_power_dbm.value()));
+  VTM_EXPECTS(std::isfinite(params.unit_gain_db.value()));
+  VTM_EXPECTS(std::isfinite(params.noise_power_dbm.value()));
+  VTM_EXPECTS(std::isfinite(distance_m) && distance_m > 0.0);
+  VTM_EXPECTS(std::isfinite(params.path_loss_exponent) &&
+              params.path_loss_exponent >= 0.0);
   tx_watt_ = util::to_watts(params.tx_power_dbm).value();
   gain_ = util::to_linear(params.unit_gain_db) *
-          std::pow(params.distance_m.value(), -params.path_loss_exponent);
+          std::pow(distance_m, -params.path_loss_exponent);
   noise_watt_ = util::to_watts(params.noise_power_dbm).value();
   VTM_ENSURES(noise_watt_ > 0.0);
   snr_ = tx_watt_ * gain_ / noise_watt_;

@@ -25,7 +25,8 @@ struct link_params {
 /// Derived linear-scale quantities for a point-to-point RSU link.
 class link_budget {
  public:
-  /// Validate and derive linear quantities. Requires distance > 0, ε >= 0.
+  /// Validate and derive linear quantities. Requires finite power and gain
+  /// levels, a finite distance > 0 and a finite ε >= 0.
   explicit link_budget(const link_params& params);
 
   /// Input parameters as given.
@@ -33,14 +34,6 @@ class link_budget {
 
   /// Transmit power in watts.
   [[nodiscard]] double tx_power_watt() const noexcept { return tx_watt_; }
-
-  /// Typed siblings of the linear-power accessors.
-  [[nodiscard]] util::watts tx_power() const noexcept {
-    return util::watts{tx_watt_};
-  }
-  [[nodiscard]] util::watts noise_power() const noexcept {
-    return util::watts{noise_watt_};
-  }
 
   /// Composite channel gain h0·d^−ε (linear, unitless).
   [[nodiscard]] double channel_gain() const noexcept { return gain_; }
@@ -64,12 +57,6 @@ class link_budget {
   /// Achievable rate in Mbit/s for a bandwidth in MHz.
   /// Requires bandwidth >= 0.
   [[nodiscard]] double rate_mbps(double bandwidth_mhz) const;
-
-  /// Typed sibling: rate for a typed bandwidth (Mbit/s stays a raw double —
-  /// rates feed straight into record/tensor aggregates).
-  [[nodiscard]] double rate_mbps(util::megahertz bandwidth) const {
-    return rate_mbps(bandwidth.value());
-  }
 
   /// Seconds to move `data_bits` over `bandwidth_hz`. Requires positive
   /// bandwidth and non-negative data.

@@ -6,11 +6,10 @@
 // pool capacity, and grants are disjoint (orthogonal subchannels).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-
-#include "util/quantity.hpp"
 
 namespace vtm::wireless {
 
@@ -27,11 +26,6 @@ class ofdma_pool {
   /// when granularity > 0, grants are rounded *up* to whole subchannels.
   explicit ofdma_pool(double capacity_mhz, double granularity_mhz = 0.0);
 
-  /// Typed sibling of the raw-double constructor.
-  explicit ofdma_pool(util::megahertz capacity,
-                      util::megahertz granularity = util::megahertz{0.0})
-      : ofdma_pool(capacity.value(), granularity.value()) {}
-
   /// Total capacity in MHz.
   [[nodiscard]] double capacity_mhz() const noexcept { return capacity_; }
 
@@ -43,17 +37,6 @@ class ofdma_pool {
     return capacity_ - allocated_;
   }
 
-  /// Typed siblings of the MHz accessors.
-  [[nodiscard]] util::megahertz capacity() const noexcept {
-    return util::megahertz{capacity_};
-  }
-  [[nodiscard]] util::megahertz allocated() const noexcept {
-    return util::megahertz{allocated_};
-  }
-  [[nodiscard]] util::megahertz available() const noexcept {
-    return util::megahertz{capacity_ - allocated_};
-  }
-
   /// Number of live grants.
   [[nodiscard]] std::size_t active_grants() const noexcept {
     return grants_.size();
@@ -61,11 +44,6 @@ class ofdma_pool {
 
   /// Try to grant `mhz` (> 0) of bandwidth; nullopt when it does not fit.
   [[nodiscard]] std::optional<grant_id> allocate(double mhz);
-
-  /// Typed sibling of `allocate`.
-  [[nodiscard]] std::optional<grant_id> allocate(util::megahertz bandwidth) {
-    return allocate(bandwidth.value());
-  }
 
   /// Bandwidth of a live grant; nullopt for unknown ids.
   [[nodiscard]] std::optional<double> grant_mhz(grant_id id) const;
@@ -75,11 +53,6 @@ class ofdma_pool {
 
   /// Effective size of a request after granularity rounding.
   [[nodiscard]] double rounded(double mhz) const;
-
-  /// Typed sibling of `rounded`.
-  [[nodiscard]] util::megahertz rounded(util::megahertz request) const {
-    return util::megahertz{rounded(request.value())};
-  }
 
  private:
   double capacity_;

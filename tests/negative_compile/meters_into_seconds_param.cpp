@@ -1,10 +1,10 @@
-// Negative-compile proof: a distance cannot be passed where a duration is
-// expected. `sim::advance` takes util::seconds (or a raw double on the
-// legacy overload); util::meters matches neither. Must NOT compile.
-#include "sim/mobility.hpp"
+// Negative-compile proof: a distance cannot be stored where a duration is
+// expected. `fleet_config::duration_s` is util::seconds, and no quantity of
+// another dimension converts into it. Must NOT compile.
+#include "core/fleet_scenario.hpp"
 
 int main() {
-  vtm::sim::vehicle_state v{0.0, 30.0};
-  vtm::sim::advance(v, vtm::util::meters{1.0});  // meters is not a duration
-  return 0;
+  vtm::core::fleet_config config;
+  config.duration_s = vtm::util::meters{1.0};  // meters is not a duration
+  return static_cast<int>(config.rsu_count);
 }

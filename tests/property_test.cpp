@@ -6,8 +6,8 @@
 //  * random autograd graphs: analytic gradients == finite differences;
 //  * RNG statistics: chi-square uniformity, lag-1 autocorrelation;
 //  * OFDMA pool fuzz: orthogonality invariant under arbitrary churn;
-//  * quantity conversions: log/linear round-trips to 1 ulp, monotonicity,
-//    and typed overloads bitwise-equal to the raw-double helpers.
+//  * quantity conversions: log/linear round-trips within an ulp budget and
+//    monotonicity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +20,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
-#include "wireless/link.hpp"
 #include "wireless/ofdma.hpp"
 
 namespace core = vtm::core;
@@ -299,40 +298,5 @@ TEST(quantity_properties, log_maps_are_strictly_monotone) {
               vtm::util::to_watts(vtm::util::dbm{hi}).value());
     EXPECT_LT(vtm::util::to_linear(vtm::util::db{lo}),
               vtm::util::to_linear(vtm::util::db{hi}));
-  }
-}
-
-TEST(quantity_properties, typed_overloads_are_bitwise_the_raw_helpers) {
-  vtm::util::rng gen(20230810);
-  for (int i = 0; i < 500; ++i) {
-    const double level = gen.uniform(-160.0, 60.0);
-    EXPECT_EQ(vtm::util::to_watts(vtm::util::dbm{level}).value(),
-              vtm::util::dbm_to_watt(level));
-    EXPECT_EQ(vtm::util::to_linear(vtm::util::db{level}),
-              vtm::util::db_to_linear(level));
-    const double watt = vtm::util::dbm_to_watt(level);
-    EXPECT_EQ(vtm::util::to_dbm(vtm::util::watts{watt}).value(),
-              vtm::util::watt_to_dbm(watt));
-    const double mb = gen.uniform(1.0, 1000.0);
-    EXPECT_EQ(vtm::util::to_bits(vtm::util::megabytes{mb}),
-              vtm::util::megabytes_to_bits(mb));
-    const double mhz = gen.uniform(0.1, 100.0);
-    EXPECT_EQ(vtm::util::to_hz(vtm::util::megahertz{mhz}),
-              vtm::util::mhz_to_hz(mhz));
-  }
-}
-
-// The typed wireless entry points (link rate, OFDMA allocation) must also be
-// bitwise the raw-double paths: one link, both call styles, identical bits.
-TEST(quantity_properties, typed_wireless_paths_match_raw_bitwise) {
-  vtm::util::rng gen(20230811);
-  for (int i = 0; i < 200; ++i) {
-    vtm::wireless::link_params params;
-    params.distance_m = vtm::util::meters{gen.uniform(100.0, 2000.0)};
-    params.tx_power_dbm = vtm::util::dbm{gen.uniform(20.0, 50.0)};
-    const vtm::wireless::link_budget link(params);
-    const double mhz = gen.uniform(0.5, 80.0);
-    EXPECT_EQ(link.rate_mbps(vtm::util::megahertz{mhz}),
-              link.rate_mbps(mhz));
   }
 }

@@ -85,8 +85,8 @@ TEST(road_graph, path_collapses_to_the_uniform_chain) {
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->uniform);
   EXPECT_EQ(view->count, 8u);
-  EXPECT_EQ(view->spacing_m.value(), 1000.0);
-  EXPECT_EQ(view->coverage_radius_m.value(), 600.0);
+  EXPECT_EQ(view->spacing_m, 1000.0);
+  EXPECT_EQ(view->coverage_radius_m, 600.0);
 }
 
 // Serving cells, handover boundaries, and beacon (next-handover) timings of

@@ -1,7 +1,6 @@
 // Streaming (open-system) fleet runs: exactly-once twin accounting across
 // window flushes, bounded live population and slot arena under growing
-// horizons, mid-stream reseed determinism, and the sharded / road-graph
-// streaming paths.
+// horizons, determinism, and the sharded / road-graph streaming paths.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -143,30 +142,6 @@ TEST(streaming_fleet, live_population_bounded_under_growing_horizon) {
   EXPECT_LT(long_run.slot_high_water, long_run.arrivals / 4);
   // Slots really recycle: more twins retired than slots ever allocated.
   EXPECT_GT(long_run.retired, 2 * long_run.slot_high_water);
-}
-
-// Reseeding after flush k replaces the arrival/draw stream: flushes
-// 0..k are bitwise-unaffected, later windows diverge, and the reseed
-// itself is reproducible.
-TEST(streaming_fleet, mid_stream_reseed_is_deterministic_and_prefix_stable) {
-  auto reseeded = stream_config(60.0);
-  reseeded.reseed_flush = 2;
-  reseeded.reseed_seed = 777;
-  const auto a = core::run_streaming_fleet(reseeded);
-  const auto b = core::run_streaming_fleet(reseeded);
-  expect_stream_identical(a, b);
-  expect_stream_conserved(a);
-
-  const auto plain = core::run_streaming_fleet(stream_config(60.0));
-  ASSERT_GT(a.flushes.size(), 3u);
-  ASSERT_GT(plain.flushes.size(), 3u);
-  for (std::size_t k = 0; k <= 2; ++k) {
-    EXPECT_EQ(a.flushes[k].handovers, plain.flushes[k].handovers);
-    EXPECT_EQ(a.flushes[k].completed, plain.flushes[k].completed);
-    EXPECT_EQ(a.flushes[k].msp_total_utility,
-              plain.flushes[k].msp_total_utility);
-  }
-  EXPECT_NE(a.totals.msp_total_utility, plain.totals.msp_total_utility);
 }
 
 TEST(streaming_fleet, sharded_stream_conserves_and_crosses_shards) {

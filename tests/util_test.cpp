@@ -40,50 +40,45 @@ TEST(contracts, ensures_and_assert_throw) {
 
 // ---- units ----------------------------------------------------------------
 
-TEST(units, db_to_linear_known_values) {
-  EXPECT_DOUBLE_EQ(vu::db_to_linear(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(vu::db_to_linear(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(vu::db_to_linear(20.0), 100.0);
-  EXPECT_NEAR(vu::db_to_linear(-20.0), 0.01, 1e-15);
+TEST(units, to_linear_known_values) {
+  EXPECT_DOUBLE_EQ(vu::to_linear(vu::db{0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(vu::to_linear(vu::db{10.0}), 10.0);
+  EXPECT_DOUBLE_EQ(vu::to_linear(vu::db{20.0}), 100.0);
+  EXPECT_NEAR(vu::to_linear(vu::db{-20.0}), 0.01, 1e-15);
 }
 
-TEST(units, dbm_to_watt_known_values) {
-  EXPECT_NEAR(vu::dbm_to_watt(0.0), 1e-3, 1e-18);
-  EXPECT_NEAR(vu::dbm_to_watt(30.0), 1.0, 1e-12);
-  EXPECT_NEAR(vu::dbm_to_watt(40.0), 10.0, 1e-12);    // paper's ρ
-  EXPECT_NEAR(vu::dbm_to_watt(-150.0), 1e-18, 1e-30); // paper's N0
+TEST(units, to_watts_known_values) {
+  EXPECT_NEAR(vu::to_watts(vu::dbm{0.0}).value(), 1e-3, 1e-18);
+  EXPECT_NEAR(vu::to_watts(vu::dbm{30.0}).value(), 1.0, 1e-12);
+  EXPECT_NEAR(vu::to_watts(vu::dbm{40.0}).value(), 10.0, 1e-12);  // paper's ρ
+  EXPECT_NEAR(vu::to_watts(vu::dbm{-150.0}).value(), 1e-18,
+              1e-30);  // paper's N0
 }
 
-TEST(units, linear_to_db_requires_positive) {
-  EXPECT_THROW((void)vu::linear_to_db(0.0), vu::contract_error);
-  EXPECT_THROW((void)vu::linear_to_db(-1.0), vu::contract_error);
+TEST(units, to_db_requires_positive) {
+  EXPECT_THROW((void)vu::to_db(0.0), vu::contract_error);
+  EXPECT_THROW((void)vu::to_db(-1.0), vu::contract_error);
 }
 
-TEST(units, watt_to_dbm_requires_positive) {
-  EXPECT_THROW((void)vu::watt_to_dbm(0.0), vu::contract_error);
+TEST(units, to_dbm_requires_positive) {
+  EXPECT_THROW((void)vu::to_dbm(vu::watts{0.0}), vu::contract_error);
 }
 
 class units_roundtrip : public ::testing::TestWithParam<double> {};
 
 TEST_P(units_roundtrip, db_roundtrip) {
   const double db = GetParam();
-  EXPECT_NEAR(vu::linear_to_db(vu::db_to_linear(db)), db, 1e-9);
+  EXPECT_NEAR(vu::to_db(vu::to_linear(vu::db{db})).value(), db, 1e-9);
 }
 
 TEST_P(units_roundtrip, dbm_roundtrip) {
   const double dbm = GetParam();
-  EXPECT_NEAR(vu::watt_to_dbm(vu::dbm_to_watt(dbm)), dbm, 1e-9);
+  EXPECT_NEAR(vu::to_dbm(vu::to_watts(vu::dbm{dbm})).value(), dbm, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(sweep, units_roundtrip,
                          ::testing::Values(-150.0, -60.0, -20.0, -3.0, 0.0,
                                            3.0, 10.0, 40.0, 90.0));
-
-TEST(units, data_and_bandwidth_conversions) {
-  EXPECT_DOUBLE_EQ(vu::megabytes_to_bits(1.0), 8.0e6);
-  EXPECT_DOUBLE_EQ(vu::megabytes_to_bits(100.0), 8.0e8);
-  EXPECT_DOUBLE_EQ(vu::mhz_to_hz(50.0), 5.0e7);
-}
 
 // ---- rng --------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 #include "wireless/link.hpp"
@@ -35,6 +36,30 @@ TEST(link_budget, rejects_invalid_geometry) {
   bad.distance_m = vtm::util::meters{1.0};
   bad.path_loss_exponent = -1.0;
   EXPECT_THROW((void)w::link_budget{bad}, vtm::util::contract_error);
+}
+
+// A non-finite level or distance used to derive a NaN (tx power), infinite
+// (unit gain) or zero (distance) spectral efficiency instead of failing.
+TEST(link_budget, rejects_non_finite_parameters) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    w::link_params tx;
+    tx.tx_power_dbm = vtm::util::dbm{bad};
+    EXPECT_THROW((void)w::link_budget{tx}, vtm::util::contract_error);
+    w::link_params gain;
+    gain.unit_gain_db = vtm::util::db{bad};
+    EXPECT_THROW((void)w::link_budget{gain}, vtm::util::contract_error);
+    w::link_params noise;
+    noise.noise_power_dbm = vtm::util::dbm{bad};
+    EXPECT_THROW((void)w::link_budget{noise}, vtm::util::contract_error);
+    w::link_params distance;
+    distance.distance_m = vtm::util::meters{bad};
+    EXPECT_THROW((void)w::link_budget{distance}, vtm::util::contract_error);
+    w::link_params exponent;
+    exponent.path_loss_exponent = bad;
+    EXPECT_THROW((void)w::link_budget{exponent}, vtm::util::contract_error);
+  }
 }
 
 TEST(link_budget, transfer_seconds_inverse_in_bandwidth) {
