@@ -86,6 +86,39 @@ BENCHMARK(bm_solve_price_competition)
     ->Args({8, 1024})
     ->Unit(benchmark::kMicrosecond);
 
+// The fleet's oligopoly clearing (oligopoly_m8): 8 sellers price a cohort of
+// 9 buyers drawn like the fleet's (α ∈ [500, 2000], 100–300 MB twins), each
+// seller capped at its remaining capacity of a 50 MHz pool, which binds.
+// Consecutive clearings of a book price different cohorts, so each cohort
+// of a ring is a fresh draw with fresh caps. The ring is solved cold once;
+// the timed loop then re-solves cohort i warm from cohort i−1's prices.
+void bm_solve_price_competition_warm(benchmark::State& state) {
+  constexpr std::size_t ring = 16;
+  vtm::util::rng gen(12);
+  std::vector<vtm::core::multi_msp_market> markets;
+  std::vector<std::vector<double>> fixed_points;
+  for (std::size_t i = 0; i < ring; ++i) {
+    vtm::core::multi_msp_params params;
+    for (std::size_t n = 0; n < 9; ++n)
+      params.vmus.push_back(
+          {gen.uniform(500.0, 2000.0), gen.uniform(100.0, 300.0)});
+    for (std::size_t m = 0; m < 8; ++m)
+      params.msps.push_back({5.0, gen.uniform(40.0, 50.0), 50.0});
+    markets.emplace_back(std::move(params));
+    fixed_points.push_back(
+        vtm::core::solve_price_competition(markets.back()).prices);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    vtm::core::price_competition_options options;
+    options.warm_start = fixed_points[(i + ring - 1) % ring];
+    benchmark::DoNotOptimize(
+        vtm::core::solve_price_competition(markets[i], options));
+    i = (i + 1) % ring;
+  }
+}
+BENCHMARK(bm_solve_price_competition_warm)->Unit(benchmark::kMicrosecond);
+
 void bm_env_step(benchmark::State& state) {
   vtm::core::pricing_env env(
       vtm::core::migration_market(market_of(2)), {});

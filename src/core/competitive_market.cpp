@@ -176,6 +176,8 @@ competitive_outcome competitive_market::clear_oligopoly(
     outcome.certified = scripted.certified;
     outcome.solver_sweeps += scripted.iterations;
     outcome.objective_evals += scripted.objective_evals;
+    outcome.newton_steps += scripted.newton_steps;
+    outcome.fallbacks += scripted.fallback ? 1 : 0;
     outcome.residual = scripted.residual;
 
     const auto& own = config_.msps[config_.learned_msp];
@@ -220,6 +222,8 @@ competitive_outcome competitive_market::clear_oligopoly(
       outcome.certified = outcome.certified && rivals.certified;
       outcome.solver_sweeps += rivals.iterations;
       outcome.objective_evals += rivals.objective_evals;
+      outcome.newton_steps += rivals.newton_steps;
+      outcome.fallbacks += rivals.fallback ? 1 : 0;
       outcome.residual = rivals.residual;
     }
   } else {
@@ -229,6 +233,8 @@ competitive_outcome competitive_market::clear_oligopoly(
     outcome.certified = equilibrium.certified;
     outcome.solver_sweeps += equilibrium.iterations;
     outcome.objective_evals += equilibrium.objective_evals;
+    outcome.newton_steps += equilibrium.newton_steps;
+    outcome.fallbacks += equilibrium.fallback ? 1 : 0;
     outcome.residual = equilibrium.residual;
   }
   outcome.markets_cleared = 1;
@@ -315,6 +321,8 @@ competitive_outcome competitive_market::clear_oligopoly(
   pending_ = std::move(still_pending);
   span.arg("sweeps", static_cast<double>(outcome.solver_sweeps));
   span.arg("objective_evals", static_cast<double>(outcome.objective_evals));
+  span.arg("newton_steps", static_cast<double>(outcome.newton_steps));
+  span.arg("fallback", static_cast<double>(outcome.fallbacks));
   span.arg("residual", outcome.residual);
   span.arg("warm_started", outcome.warm_started ? 1.0 : 0.0);
   span.arg("converged", outcome.converged ? 1.0 : 0.0);

@@ -91,6 +91,10 @@ struct competitive_outcome {
   bool warm_started = false; ///< Solve started from the previous clearing.
   std::size_t solver_sweeps = 0;    ///< Best-response sweeps spent.
   std::size_t objective_evals = 0;  ///< Objective calls across the solve(s).
+  std::size_t newton_steps = 0;     ///< Joint Newton steps across the solve(s).
+  /// Solves whose warm-start Newton attempt was rejected (0..2 per clearing:
+  /// the scripted solve and, with a learned seat, the rivals' solve).
+  std::size_t fallbacks = 0;
   /// Final best-response residual of the (last) fixed-point solve; 0 for the
   /// M = 1 delegation, which prices analytically.
   double residual = 0.0;
@@ -116,7 +120,8 @@ struct competitive_market_config {
   double fixed_point_tol = 1e-7;
   std::size_t max_sweeps = 200;
   /// Telemetry lane for per-clearing spans ("comarket.clear" carrying the
-  /// convergence certificate: sweeps, objective evals, residual, warm start).
+  /// convergence certificate: sweeps, objective evals, Newton steps,
+  /// fallbacks, residual, warm start).
   /// Null disables; never influences clearing results.
   util::trace_lane* trace = nullptr;
 };

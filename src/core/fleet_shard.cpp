@@ -92,6 +92,36 @@ double auto_window_s(const fleet_config& config, const sim::rsu_chain& chain) {
   return std::clamp(window, 1e-3, config.duration_s.value());
 }
 
+/// Visit per-shard completion batches in global finish-time order (vehicle
+/// slot breaks exact ties) — the one reduction order of every fleet
+/// aggregate, so one shard reproduces the serial engine's event-order sums
+/// bitwise and multi-shard sums are independent of thread timing.
+/// `visit(batch, i)` sees `batch.ledger[i]` (and `batch.records[i]` when
+/// recording).
+template <typename Batch, typename Visit>
+void in_finish_order(std::vector<Batch>& batches, Visit&& visit) {
+  std::size_t total = 0;
+  for (const auto& batch : batches) total += batch.ledger.size();
+  std::vector<std::size_t> head(batches.size(), 0);
+  for (std::size_t n = 0; n < total; ++n) {
+    std::size_t best = batches.size();
+    for (std::size_t s = 0; s < batches.size(); ++s) {
+      if (head[s] >= batches[s].ledger.size()) continue;
+      if (best == batches.size()) {
+        best = s;
+        continue;
+      }
+      const auto& a = batches[s].ledger[head[s]];
+      const auto& b = batches[best].ledger[head[best]];
+      if (a.finish_s < b.finish_s ||
+          (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
+        best = s;
+    }
+    visit(batches[best], head[best]);
+    ++head[best];
+  }
+}
+
 /// Resolve the streaming run's base config: the horizon is the handover
 /// admission deadline, and the closed-population `vehicle_count` is ignored
 /// (floored to satisfy the base validation).
@@ -918,15 +948,20 @@ void shard_engine::abandon_remaining() {
       resolve_abandoned(request);
 }
 
-shard_engine::flush_data shard_engine::take_flush(
+shard_engine::completions shard_engine::take_completions(
     [[maybe_unused]] const util::barrier_phase& barrier) {
-  flush_data flush;
-  flush.stats = counters_;  // cumulative; the coordinator diffs
-  flush.ledger = std::move(ledger_);
+  completions done;
+  done.ledger = std::move(ledger_);
   ledger_.clear();
-  flush.records = std::move(records_);
+  done.records = std::move(records_);
   records_.clear();
-  flush.cohorts = std::move(cohorts_);
+  return done;
+}
+
+shard_engine::flush_data shard_engine::take_flush(
+    const util::barrier_phase& barrier) {
+  // Counters are cumulative; the coordinator diffs.
+  flush_data flush{take_completions(barrier), counters_, std::move(cohorts_)};
   cohorts_.clear();
   return flush;
 }
@@ -1266,6 +1301,9 @@ fleet_result shard_coordinator::run() {
         const std::size_t delivered = exchange();
         merge_metrics();
         if (draining) return delivered > 0;
+        // Drain rounds run each queue to quiescence, so only window
+        // barriers separate earlier completions from later ones.
+        fold_completions();
         if (t_end >= config_.duration_s.value()) {
           draining = true;
           return true;
@@ -1363,32 +1401,17 @@ fleet_result shard_coordinator::flush_window(bool final) {
     total += data[s].ledger.size();
   }
 
-  // Reduce this window's completion ledgers in global finish-time order
-  // (slot index breaks exact ties) — `merge()`'s reduction restarted per
-  // window. The run-total accumulators advance inside the same loop, so the
+  // Reduce this window's completion ledgers in global finish-time order.
+  // The run-total accumulators advance inside the same loop, so the
   // streaming totals are the same ordered sum an unwindowed reduction of
   // the whole stream would produce.
   double sum_aotm = 0.0;
   double sum_amplification = 0.0;
   double sum_price_bandwidth = 0.0;
   double sum_bandwidth = 0.0;
-  std::vector<std::size_t> head(shards_.size(), 0);
   if (config_.record_migrations) window.migrations.reserve(total);
-  for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (head[s] >= data[s].ledger.size()) continue;
-      if (best == shards_.size()) {
-        best = s;
-        continue;
-      }
-      const auto& a = data[s].ledger[head[s]];
-      const auto& b = data[best].ledger[head[best]];
-      if (a.finish_s < b.finish_s ||
-          (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
-        best = s;
-    }
-    const auto& entry = data[best].ledger[head[best]];
+  in_finish_order(data, [&](shard_engine::flush_data& batch, std::size_t i) {
+    const auto& entry = batch.ledger[i];
     ++window.completed;
     window.msp_total_utility += entry.msp_utility;
     window.vmu_total_utility += entry.vmu_utility;
@@ -1403,13 +1426,12 @@ fleet_result shard_coordinator::flush_window(bool final) {
     sum_price_bandwidth_ += entry.price_bandwidth;
     sum_bandwidth_ += entry.bandwidth;
     if (config_.record_migrations) {
-      migration_record record = std::move(data[best].records[head[best]]);
+      migration_record record = std::move(batch.records[i]);
       // Records carry the stable identity — the slot index is recycled.
       record.vehicle = vehicles_[record.vehicle].id;
       window.migrations.push_back(std::move(record));
     }
-    ++head[best];
-  }
+  });
   for (auto& shard_data : data)
     window.cohorts.insert(window.cohorts.end(),
                           std::make_move_iterator(shard_data.cohorts.begin()),
@@ -1584,9 +1606,28 @@ streaming_result shard_coordinator::run_stream() {
   return result;
 }
 
+void shard_coordinator::fold_completions() {
+  std::vector<shard_engine::completions> batches;
+  batches.reserve(shards_.size());
+  for (auto& shard : shards_)
+    batches.push_back(shard->take_completions(barrier_));
+  in_finish_order(batches, [&](shard_engine::completions& batch,
+                               std::size_t i) {
+    const auto& entry = batch.ledger[i];
+    ++completed_;
+    total_msp_utility_ += entry.msp_utility;
+    total_vmu_utility_ += entry.vmu_utility;
+    sum_aotm_ += entry.aotm;
+    sum_amplification_ += entry.amplification;
+    sum_price_bandwidth_ += entry.price_bandwidth;
+    sum_bandwidth_ += entry.bandwidth;
+    if (config_.record_migrations)
+      migrations_.push_back(std::move(batch.records[i]));
+  });
+}
+
 fleet_result shard_coordinator::merge() {
   fleet_result result;
-  std::size_t total = 0;
   if (!msp_chains_.empty()) {
     result.msp_utilities.assign(msp_chains_.size(), 0.0);
     result.msp_sold_mhz.assign(msp_chains_.size(), 0.0);
@@ -1610,45 +1651,14 @@ fleet_result shard_coordinator::merge() {
       result.msp_utilities[m] += c.msp_utility[m];
       result.msp_sold_mhz[m] += c.msp_sold_mhz[m];
     }
-    total += shard->ledger().size();
   }
 
-  // Reduce the completion streams in global finish-time order (vehicle id
-  // breaks exact ties): one shard reproduces the serial engine's event-order
-  // summation bitwise, and multi-shard aggregates are independent of thread
-  // timing by construction.
-  double sum_aotm = 0.0;
-  double sum_amplification = 0.0;
-  double sum_price_bandwidth = 0.0;
-  double sum_bandwidth = 0.0;
-  std::vector<std::size_t> head(shards_.size(), 0);
-  if (config_.record_migrations) result.migrations.reserve(total);
-  for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (head[s] >= shards_[s]->ledger().size()) continue;
-      if (best == shards_.size()) {
-        best = s;
-        continue;
-      }
-      const auto& a = shards_[s]->ledger()[head[s]];
-      const auto& b = shards_[best]->ledger()[head[best]];
-      if (a.finish_s < b.finish_s ||
-          (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
-        best = s;
-    }
-    const auto& entry = shards_[best]->ledger()[head[best]];
-    ++result.completed;
-    result.msp_total_utility += entry.msp_utility;
-    result.vmu_total_utility += entry.vmu_utility;
-    sum_aotm += entry.aotm;
-    sum_amplification += entry.amplification;
-    sum_price_bandwidth += entry.price_bandwidth;
-    sum_bandwidth += entry.bandwidth;
-    if (config_.record_migrations)
-      result.migrations.push_back(shards_[best]->records()[head[best]]);
-    ++head[best];
-  }
+  // The completions since the last window fold (the drain phase's).
+  fold_completions();
+  result.completed = completed_;
+  result.msp_total_utility = total_msp_utility_;
+  result.vmu_total_utility = total_vmu_utility_;
+  result.migrations = std::move(migrations_);
 
   for (const auto& shard : shards_)
     result.cohorts.insert(result.cohorts.end(), shard->cohorts().begin(),
@@ -1666,10 +1676,10 @@ fleet_result shard_coordinator::merge() {
 
   if (result.completed > 0) {
     const double n = static_cast<double>(result.completed);
-    result.mean_aotm = sum_aotm / n;
-    result.mean_amplification = sum_amplification / n;
-    if (sum_bandwidth > 0.0)
-      result.mean_price = sum_price_bandwidth / sum_bandwidth;
+    result.mean_aotm = sum_aotm_ / n;
+    result.mean_amplification = sum_amplification_ / n;
+    if (sum_bandwidth_ > 0.0)
+      result.mean_price = sum_price_bandwidth_ / sum_bandwidth_;
   }
   return result;
 }

@@ -247,24 +247,24 @@ class shard_engine {
   [[nodiscard]] competitive_market& comarket_at(std::size_t rsu);
 
   [[nodiscard]] const counters& stats() const noexcept { return counters_; }
-  [[nodiscard]] const std::vector<completion_entry>& ledger() const noexcept {
-    return ledger_;
-  }
-  [[nodiscard]] const std::vector<migration_record>& records() const noexcept {
-    return records_;
-  }
   [[nodiscard]] const std::vector<cohort_snapshot>& cohorts() const noexcept {
     return cohorts_;
   }
 
-  /// Snapshot for one streaming flush: cumulative counters plus the ledger,
-  /// records, and cohorts accrued since the previous flush (moved out, so
-  /// per-window memory is released). Barrier only — reads engine state the
-  /// lanes otherwise own.
-  struct flush_data {
-    counters stats;  ///< Cumulative; the coordinator diffs against the last.
+  /// The completion ledger and its records (index-aligned when recording)
+  /// accrued since the previous take, moved out so their memory is
+  /// released. Barrier only — reads engine state the lanes otherwise own.
+  struct completions {
     std::vector<completion_entry> ledger;
     std::vector<migration_record> records;
+  };
+  [[nodiscard]] completions take_completions(
+      const util::barrier_phase& barrier) VTM_REQUIRES(barrier);
+
+  /// Snapshot for one streaming flush: cumulative counters plus the
+  /// completions and cohorts accrued since the previous flush. Barrier only.
+  struct flush_data : completions {
+    counters stats;  ///< Cumulative; the coordinator diffs against the last.
     std::vector<cohort_snapshot> cohorts;
   };
   [[nodiscard]] flush_data take_flush(const util::barrier_phase& barrier)
@@ -444,8 +444,15 @@ class shard_coordinator {
   /// `run()`'s barrier callback (and around the serial pre-/post-phase
   /// steps, where every lane is trivially idle).
   std::size_t exchange() VTM_REQUIRES(barrier_);
-  /// Merge the shard completion streams. Reads every shard's state across
-  /// lanes, so it too may only run with all lanes parked.
+  /// Closed runs: reduce every shard's completions logged so far into the
+  /// run totals in global finish-time order and release the ledgers. At a
+  /// window barrier every completion still to come finishes after every one
+  /// already logged, so folding per window is the whole-run reduction, bit
+  /// for bit, with window-sized ledgers.
+  void fold_completions() VTM_REQUIRES(barrier_);
+  /// Merge the shard counters and the remaining completion streams. Reads
+  /// every shard's state across lanes, so it too may only run with all
+  /// lanes parked.
   [[nodiscard]] fleet_result merge() VTM_REQUIRES(barrier_);
 
   fleet_config config_;
@@ -483,7 +490,11 @@ class shard_coordinator {
   std::size_t peak_live_ = 0;
   std::vector<shard_engine::counters> flushed_;  ///< Last-flush snapshots.
   std::vector<fleet_result> flushes_;
-  // Run-total FP accumulators (finish-time reduction order across flushes).
+  // Run-total FP accumulators (finish-time reduction order across flushes
+  // or closed-run folds), plus the closed run's completion count and
+  // records.
+  std::size_t completed_ = 0;
+  std::vector<migration_record> migrations_;
   double sum_aotm_ = 0.0;
   double sum_amplification_ = 0.0;
   double sum_price_bandwidth_ = 0.0;

@@ -245,32 +245,40 @@ multi_msp_market::best_response multi_msp_market::best_response_local(
   const rival_cache cache = cache_rivals(m, prices);
   const double lambda = params_.share_sharpness;
   best_response out;
-  // Profit and closed-form derivative at a candidate price. With
+  // Profit and closed-form derivatives at a candidate price. With
   // w = e^{−λ(p−ref)}, s = w/(w+W), p̄ = (wp + WP)/(w+W):
   //   s'  = −λ·s·(1−s)
   //   p̄'  = s·(1 − λ(p − p̄))
-  //   f   = (p − C)·min(s·D(p̄), cap)
-  //   f'  = s·D + (p − C)(s'·D + s·D'·p̄')        (uncapped)
+  //   q   = s·D(p̄),  q' = s'·D + s·D'·p̄'        (unrationed sales)
+  //   f   = (p − C)·min(q, cap)
+  //   f'  = q + (p − C)·q'                        (uncapped)
   //       = cap                                   (capped: f is linear)
   // Zero demand means the profit is flat at 0; report a negative slope so
   // the search walks left toward prices that activate buyers.
   struct probe {
     double f = 0.0;
     double g = 0.0;
+    double sold = 0.0;        ///< q.
+    double sold_slope = 0.0;  ///< q'.
+    double g_free = 0.0;      ///< Uncapped f' — the right limit at a kink.
+    bool capped = false;
   };
   const auto eval = [&](double price) {
     ++out.evaluations;
     const auto [s, p_eff] = cache.at(lambda, price);
     const auto d = demand_at(p_eff);
-    if (d.demand <= 0.0) return probe{0.0, -1.0};
+    if (d.demand <= 0.0) return probe{0.0, -1.0, 0.0, 0.0, -1.0, false};
     const double margin = price - cache.lo;
-    if (s * d.demand >= cache.cap) return probe{margin * cache.cap, cache.cap};
+    const double sold = s * d.demand;
     const double s_prime = -lambda * s * (1.0 - s);
     const double p_eff_prime = s * (1.0 - lambda * (price - p_eff));
-    return probe{margin * s * d.demand,
-                 s * d.demand +
-                     margin * (s_prime * d.demand +
-                               s * d.slope * p_eff_prime)};
+    const double sold_slope =
+        s_prime * d.demand + s * d.slope * p_eff_prime;
+    const double g_free = sold + margin * sold_slope;
+    if (sold >= cache.cap)
+      return probe{margin * cache.cap, cache.cap, sold, sold_slope, g_free,
+                   true};
+    return probe{margin * sold, g_free, sold, sold_slope, g_free, false};
   };
   double h = std::max(halfwidth, tol);
   for (;;) {
@@ -294,28 +302,74 @@ multi_msp_market::best_response multi_msp_market::best_response_local(
       // Falling from the domain edge: boundary optimum at C_m.
       out.price = a;
       out.value = pa.f;
+      out.kind = response_kind::lower;
       return out;
     }
     if (pb.g >= 0.0) {
       out.price = b;
       out.value = pb.f;
+      out.kind = response_kind::upper;
       return out;
     }
-    // g(a) > 0 > g(b): the derivative crosses zero inside. Illinois false
-    // position — a stalled endpoint has its derivative halved, which forces
-    // both sides to move and keeps convergence superlinear even across the
-    // sign jump at a rationing kink.
+    // g(a) > 0 > g(b): the derivative crosses zero inside.
     double lo_x = a, lo_g = pa.g;
     double hi_x = b, hi_g = pb.g;
-    probe best = pa.f >= pb.f ? pa : pb;
+    double best_f = std::max(pa.f, pb.f);
     double best_x = pa.f >= pb.f ? a : b;
+    if (pa.capped && !pb.capped) {
+      // The bracket spans the rationing kink, where f' jumps from cap to
+      // the uncapped slope. Solve the smooth, decreasing kink equation
+      // q(p) = cap by Newton on q' from the endpoint closer to the cap,
+      // safeguarded by the sign bracket: bisect whenever a step leaves the
+      // bracket or fails to halve the previous step; stop once a step is
+      // below tol.
+      const bool from_a =
+          std::abs(pa.sold - cache.cap) <= std::abs(pb.sold - cache.cap);
+      probe last = from_a ? pa : pb;
+      double x = from_a ? a : b;
+      double k_lo = a, k_hi = b;
+      double prev_step = b - a;
+      for (;;) {
+        double next = x - (last.sold - cache.cap) / last.sold_slope;
+        if (!(last.sold_slope < 0.0) || !(next > k_lo) || !(next < k_hi) ||
+            std::abs(next - x) > 0.5 * prev_step)
+          next = 0.5 * (k_lo + k_hi);
+        prev_step = std::abs(next - x);
+        x = next;
+        if (prev_step <= tol || k_hi - k_lo <= tol) break;
+        last = eval(x);
+        if (last.sold >= cache.cap) {
+          k_lo = x;
+        } else {
+          k_hi = x;
+        }
+      }
+      const double kink_f = (x - cache.lo) * cache.cap;
+      if (last.g_free <= 0.0) {
+        out.price = x;
+        out.value = kink_f;
+        out.kind = response_kind::kink;
+        return out;
+      }
+      // Profit still rising past the kink: the optimum is an interior
+      // stationary point on the smooth uncapped side.
+      lo_x = x;
+      lo_g = last.g_free;
+      if (kink_f >= best_f) {
+        best_f = kink_f;
+        best_x = x;
+      }
+    }
+    // Illinois false position — a stalled endpoint has its derivative
+    // halved, which forces both sides to move and keeps convergence
+    // superlinear on the smooth derivative.
     int side = 0;
     while (hi_x - lo_x > tol) {
       double x = (lo_g * hi_x - hi_g * lo_x) / (lo_g - hi_g);
       if (!(x > lo_x) || !(x < hi_x)) x = 0.5 * (lo_x + hi_x);
       const auto px = eval(x);
-      if (px.f >= best.f) {
-        best = px;
+      if (px.f >= best_f) {
+        best_f = px.f;
         best_x = x;
       }
       if (px.g > 0.0) {
@@ -331,7 +385,7 @@ multi_msp_market::best_response multi_msp_market::best_response_local(
       }
     }
     out.price = best_x;
-    out.value = best.f;
+    out.value = best_f;
     return out;
   }
 }
@@ -396,10 +450,207 @@ double multi_msp_market::best_response_price_reference(
   return refined.value >= best_value ? refined.arg : best_price;
 }
 
+namespace {
+
+using response_kind = multi_msp_market::response_kind;
+
+// The joint active-set system of a warm clearing (DESIGN.md §12): one row
+// per free seller i, fixed by the kind of its last best response,
+//   kink:      F_i = s_i·D(p̄) − cap_i
+//   interior:  F_i = ∂π_i/∂p_i = s_i·D + (p_i − C_i)(a_i·D + s_i·D'·b_i)
+// with a_i = ∂s_i/∂p_i and b_i = ∂p̄/∂p_i. Sellers at a price bound or
+// pinned are constants. The Jacobian over the free prices is closed form:
+//   ∂s_i/∂p_j = −λ·s_i·(δ_ij − s_j),   ∂p̄/∂p_j = s_j·(1 − λ(p_j − p̄)),
+//   D' = −A/p̄²,  D'' = −2D'/p̄  (A: active suffix sum of α).
+// Rows of both kinds are in MHz, so one ∞-norm measures the whole defect.
+class joint_system {
+ public:
+  joint_system(const multi_msp_market& market,
+               std::span<const response_kind> kinds,
+               std::vector<std::size_t> free)
+      : market_(market),
+        kinds_(kinds),
+        free_(std::move(free)),
+        share_(market.msp_count()),
+        pbar_slope_(market.msp_count()),
+        rows_(free_.size()),
+        jac_(free_.size() * free_.size()) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return free_.size(); }
+  [[nodiscard]] std::size_t seller(std::size_t row) const noexcept {
+    return free_[row];
+  }
+
+  /// Rows and Jacobian at `p`; returns ‖F‖∞ (non-finite on overflow).
+  double evaluate(std::span<const double> p) {
+    const auto& params = market_.params();
+    const double lambda = params.share_sharpness;
+    const double ref = *std::min_element(p.begin(), p.end());
+    double total = 0.0;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      share_[j] = std::exp(-lambda * (p[j] - ref));
+      total += share_[j];
+    }
+    double pbar = 0.0;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      share_[j] /= total;
+      pbar += share_[j] * p[j];
+    }
+    for (std::size_t j = 0; j < p.size(); ++j)
+      pbar_slope_[j] = share_[j] * (1.0 - lambda * (p[j] - pbar));
+    const auto d = market_.demand_at(pbar);
+    const double curvature = -2.0 * d.slope / pbar;
+    const std::size_t k = free_.size();
+    double norm = 0.0;
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t i = free_[r];
+      const double s = share_[i];
+      const double b = pbar_slope_[i];
+      double* row = &jac_[r * k];
+      if (kinds_[i] == response_kind::kink) {
+        rows_[r] = s * d.demand - params.msps[i].bandwidth_cap_mhz;
+        for (std::size_t c = 0; c < k; ++c) {
+          const std::size_t j = free_[c];
+          const double ds = -lambda * s * ((i == j ? 1.0 : 0.0) - share_[j]);
+          row[c] = ds * d.demand + s * d.slope * pbar_slope_[j];
+        }
+      } else {
+        const double margin = p[i] - params.msps[i].unit_cost;
+        const double a = -lambda * s * (1.0 - s);
+        const double own = a * d.demand + s * d.slope * b;
+        const double rest = 1.0 - lambda * (p[i] - pbar);
+        rows_[r] = s * d.demand + margin * own;
+        for (std::size_t c = 0; c < k; ++c) {
+          const std::size_t j = free_[c];
+          const double delta = i == j ? 1.0 : 0.0;
+          const double bj = pbar_slope_[j];
+          const double ds = -lambda * s * (delta - share_[j]);
+          const double da = -lambda * (1.0 - 2.0 * s) * ds;
+          const double db = ds * rest - lambda * s * (delta - bj);
+          row[c] = ds * d.demand + s * d.slope * bj + delta * own +
+                   margin * (da * d.demand + a * d.slope * bj +
+                             ds * d.slope * b + s * curvature * bj * b +
+                             s * d.slope * db);
+        }
+      }
+      norm = std::max(norm, std::abs(rows_[r]));
+    }
+    return norm;
+  }
+
+  /// Newton direction −J⁻¹F at the last evaluated point, by Gaussian
+  /// elimination with partial pivoting (consumes the rows and Jacobian).
+  /// False when J is singular or the direction is not finite.
+  bool direction(std::vector<double>& step) {
+    const std::size_t k = free_.size();
+    for (std::size_t col = 0; col < k; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t r = col + 1; r < k; ++r)
+        if (std::abs(jac_[r * k + col]) > std::abs(jac_[pivot * k + col]))
+          pivot = r;
+      if (!(std::abs(jac_[pivot * k + col]) > 0.0)) return false;
+      if (pivot != col) {
+        for (std::size_t c = 0; c < k; ++c)
+          std::swap(jac_[pivot * k + c], jac_[col * k + c]);
+        std::swap(rows_[pivot], rows_[col]);
+      }
+      for (std::size_t r = col + 1; r < k; ++r) {
+        const double factor = jac_[r * k + col] / jac_[col * k + col];
+        for (std::size_t c = col; c < k; ++c)
+          jac_[r * k + c] -= factor * jac_[col * k + c];
+        rows_[r] -= factor * rows_[col];
+      }
+    }
+    step.assign(k, 0.0);
+    for (std::size_t r = k; r-- > 0;) {
+      double acc = rows_[r];
+      for (std::size_t c = r + 1; c < k; ++c) acc += jac_[r * k + c] * step[c];
+      step[r] = -acc / jac_[r * k + r];
+      if (!std::isfinite(step[r])) return false;
+    }
+    return true;
+  }
+
+ private:
+  const multi_msp_market& market_;
+  std::span<const response_kind> kinds_;
+  std::vector<std::size_t> free_;
+  std::vector<double> share_;
+  std::vector<double> pbar_slope_;
+  std::vector<double> rows_;
+  std::vector<double> jac_;
+};
+
+struct newton_result {
+  std::size_t steps = 0;
+  std::size_t evals = 0;      ///< One per free row per system evaluation.
+  double last_step = 0.0;     ///< ∞-norm of the last price step taken.
+};
+
+/// At most 3 damped Newton steps on `system` from `p` (in place), clamped to
+/// each seller's price bounds. A step is halved (twice at most) until the
+/// defect norm falls; a step that still does not reduce it ends the solve.
+/// A step below `stop`, or the third step, is taken without evaluating the
+/// system again — the verification sweep checks the result.
+newton_result newton_solve(const multi_msp_market& market,
+                           joint_system& system, std::vector<double>& p,
+                           double stop) {
+  constexpr std::size_t max_steps = 3;
+  constexpr int max_halvings = 2;
+  const auto& params = market.params();
+  newton_result out;
+  const std::size_t k = system.size();
+  if (k == 0) return out;
+  double norm = system.evaluate(p);
+  out.evals += k;
+  std::vector<double> step;
+  std::vector<double> trial(p);
+  while (out.steps < max_steps && norm > 0.0 && std::isfinite(norm) &&
+         system.direction(step)) {
+    ++out.steps;
+    double t = 1.0;
+    bool done = false;
+    for (int halving = 0;; ++halving) {
+      double size = 0.0;
+      for (std::size_t r = 0; r < k; ++r) {
+        const std::size_t i = system.seller(r);
+        const double shrink = 1.0 - t * step[r] / p[i];
+        trial[i] = shrink > 0.0
+                       ? std::clamp(p[i] / shrink, params.msps[i].unit_cost,
+                                    params.msps[i].price_cap)
+                       : params.msps[i].price_cap;
+        size = std::max(size, std::abs(trial[i] - p[i]));
+      }
+      if (size <= stop || out.steps == max_steps) {
+        p = trial;
+        out.last_step = size;
+        done = true;
+        break;
+      }
+      const double trial_norm = system.evaluate(trial);
+      out.evals += k;
+      if (trial_norm < norm) {
+        p = trial;
+        norm = trial_norm;
+        out.last_step = size;
+        break;
+      }
+      if (halving == max_halvings) {
+        done = true;
+        break;
+      }
+      t *= 0.5;
+    }
+    if (done) break;
+  }
+  return out;
+}
+
+}  // namespace
+
 multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market, const price_competition_options& options) {
   VTM_EXPECTS(options.tol > 0.0);
-  VTM_EXPECTS(options.damping > 0.0 && options.damping <= 1.0);
   VTM_EXPECTS(options.warm_start.empty() ||
               options.warm_start.size() == market.msp_count());
   VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
@@ -441,15 +692,24 @@ multi_msp_equilibrium solve_price_competition(
   // or immediately, on a warm start — each seller's search is bracketed
   // around its previous response (`best_response_local`), whose expansion
   // rule restores the full-range search whenever the bracket goes stale.
+  //
+  // Warm starts first try the joint Newton solve: the first sweep fixes
+  // each seller's row kind, Newton solves the joint system from the
+  // responses, and one verification sweep in tight brackets around the
+  // Newton prices must certify the result (residual <= tol, ratio to the
+  // first residual < 1) with an unchanged active set. Otherwise the
+  // iteration above continues from whichever of the two iterates has the
+  // smaller residual.
   constexpr double stall_ratio = 0.95;
   constexpr double theta_min = 1.0 / 64.0;
   constexpr double inner_cap = 1e-3;
   constexpr double inner_floor = 1e-9;
-  double theta = options.damping;
+  double theta = 1.0;
   double prev_residual = std::numeric_limits<double>::infinity();
   double ratio = 0.0;
   std::size_t stalled = 0;
   std::vector<double> response(msps);
+  std::vector<response_kind> kinds(msps, response_kind::interior);
   std::vector<double> prev_prices(msps, 0.0);
   std::vector<double> prev_response(msps, 0.0);
   bool have_prev = false;
@@ -465,27 +725,37 @@ multi_msp_equilibrium solve_price_competition(
                      static_cast<double>(47);
     }
   }
+  bool try_newton = result.warm_started && options.max_sweeps > 1;
 
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  // One simultaneous best-response sweep at `at`; returns the residual.
+  const auto sweep = [&](std::span<const double> at, double inner,
+                         std::span<double> out,
+                         std::span<response_kind> out_kinds) {
+    double residual = 0.0;
+    for (std::size_t m = 0; m < msps; ++m) {
+      if (m == options.pinned) {
+        out[m] = at[m];
+        continue;
+      }
+      const auto br =
+          local ? market.best_response_local(m, at, center[m], halfwidth[m],
+                                             inner)
+                : market.best_response_to(m, at, inner);
+      out[m] = br.price;
+      out_kinds[m] = br.kind;
+      result.objective_evals += br.evaluations;
+      residual = std::max(residual, std::abs(br.price - at[m]));
+    }
+    ++result.iterations;
+    return residual;
+  };
+
+  while (result.iterations < options.max_sweeps) {
     const double inner =
         std::isinf(prev_residual)
             ? inner_cap
             : std::clamp(0.01 * prev_residual, inner_floor, inner_cap);
-    double residual = 0.0;
-    for (std::size_t m = 0; m < msps; ++m) {
-      if (m == options.pinned) {
-        response[m] = result.prices[m];
-        continue;
-      }
-      const auto br =
-          local ? market.best_response_local(m, result.prices, center[m],
-                                             halfwidth[m], inner)
-                : market.best_response_to(m, result.prices, inner);
-      response[m] = br.price;
-      result.objective_evals += br.evaluations;
-      residual = std::max(residual, std::abs(br.price - result.prices[m]));
-    }
-    ++result.iterations;
+    double residual = sweep(result.prices, inner, response, kinds);
     ratio = std::isinf(prev_residual)
                 ? 0.0
                 : (prev_residual > 0.0 ? residual / prev_residual : 0.0);
@@ -496,6 +766,49 @@ multi_msp_equilibrium solve_price_competition(
       result.prices = response;
       result.converged = true;
       break;
+    }
+    if (try_newton) {
+      try_newton = false;
+      std::vector<std::size_t> free;
+      for (std::size_t m = 0; m < msps; ++m)
+        if (m != options.pinned && (kinds[m] == response_kind::kink ||
+                                    kinds[m] == response_kind::interior))
+          free.push_back(m);
+      joint_system system(market, kinds, std::move(free));
+      std::vector<double> newton_prices(response);
+      const double verify_inner =
+          std::clamp(0.01 * options.tol, inner_floor, inner_cap);
+      const auto newton = newton_solve(market, system, newton_prices,
+                                       verify_inner);
+      result.newton_steps = newton.steps;
+      result.objective_evals += newton.evals;
+      const double spread = newton.steps > 0 ? newton.last_step : residual;
+      for (std::size_t m = 0; m < msps; ++m) {
+        center[m] = newton_prices[m];
+        halfwidth[m] = 1.5 * spread + 16.0 * verify_inner;
+      }
+      std::vector<double> verified(msps);
+      std::vector<response_kind> verified_kinds(kinds);
+      const double verify_residual =
+          sweep(newton_prices, verify_inner, verified, verified_kinds);
+      const double verify_ratio = verify_residual / residual;
+      if (verify_residual <= options.tol && verify_ratio < 1.0 &&
+          verified_kinds == kinds) {
+        result.prices = std::move(verified);
+        result.residual = verify_residual;
+        ratio = verify_ratio;
+        result.converged = true;
+        break;
+      }
+      result.fallback = true;
+      if (verify_residual < residual) {
+        result.prices = std::move(newton_prices);
+        response = std::move(verified);
+        kinds = std::move(verified_kinds);
+        residual = verify_residual;
+        result.residual = residual;
+      }
+      if (result.iterations >= options.max_sweeps) break;
     }
     local = true;
     // Distinguish a cycle from a crawl: a non-shrinking residual only calls
@@ -526,7 +839,7 @@ multi_msp_equilibrium solve_price_competition(
       stalled = 0;
     }
     double gamma = 0.0;
-    if (!cycling && have_prev && theta == options.damping && den > 1e-28)
+    if (!cycling && have_prev && theta == 1.0 && den > 1e-28)
       gamma = std::clamp(num / den, -2.0, 0.99);
     double max_step = 0.0;
     for (std::size_t m = 0; m < msps; ++m) {
@@ -595,15 +908,6 @@ multi_msp_equilibrium solve_price_competition(
         vmu.alpha * std::log(1.0 + 1.0 / aotm) - p_eff * b;
   }
   return result;
-}
-
-multi_msp_equilibrium solve_price_competition(const multi_msp_market& market,
-                                              double tol,
-                                              std::size_t max_sweeps) {
-  price_competition_options options;
-  options.tol = tol;
-  options.max_sweeps = max_sweeps;
-  return solve_price_competition(market, options);
 }
 
 }  // namespace vtm::core

@@ -19,9 +19,19 @@
 // the scalar effective price, so the market precomputes per-VMU activation
 // thresholds t_n = α_n/κ_n and suffix sums of (α, κ) over the
 // threshold-sorted order; `total_demand(p_eff)` is then an O(log N) lookup
-// and the best-response objective costs one `exp` per candidate price. The
-// equilibrium solver is a dampened simultaneous best-response iteration with
-// an Aitken-style contraction-ratio certificate and warm-start support.
+// and the best-response objective costs one `exp` per candidate price.
+//
+// Most best responses under binding caps sit on the seller's rationing kink,
+// the price where unrationed sales s(p)·D(p̄) fall to the cap: profit rises
+// at slope cap to its left and falls to its right. The local search solves
+// that smooth equation by safeguarded Newton instead of bisecting the
+// derivative jump. The equilibrium solver classifies each seller's response
+// (kink, interior stationary point, or price bound) after a warm start's
+// first sweep and takes at most 3 damped Newton steps on the joint M-seller
+// system of those rows; the result is accepted only when a verification
+// sweep certifies it and finds the same active set, and otherwise the
+// dampened/Anderson best-response iteration continues from the better
+// iterate.
 #pragma once
 
 #include <cstddef>
@@ -99,11 +109,22 @@ class multi_msp_market {
   [[nodiscard]] std::vector<double> msp_utilities(
       std::span<const double> prices) const;
 
+  /// Where a best response sits: the row it contributes to the joint
+  /// equilibrium system.
+  enum class response_kind : unsigned char {
+    interior,  ///< Stationary point of the uncapped profit: ∂π/∂p = 0.
+    kink,      ///< Rationing kink: s(p)·D(p̄) = cap.
+    lower,     ///< Price bound C_m.
+    upper,     ///< Price bound p_max,m.
+  };
+
   /// Best response of one seller with the search cost broken out.
   struct best_response {
     double price = 0.0;            ///< Argmax over [C_m, p_max,m].
     double value = 0.0;            ///< Profit at the best response.
     std::size_t evaluations = 0;   ///< Objective calls spent.
+    /// Set by `best_response_local`; `best_response_to` leaves `interior`.
+    response_kind kind = response_kind::interior;
   };
 
   /// MSP m's best-response price to the others' prices. Fast path: rivals'
@@ -118,11 +139,13 @@ class multi_msp_market {
   /// center + halfwidth] (clamped to [C_m, p_max,m]), expanding the bracket
   /// ×4 whenever the profit derivative says the optimum lies beyond a
   /// bracket edge that is not a domain boundary, so a stale bracket can
-  /// never pin the search to a wrong basin. Inside the bracket the search is
-  /// a safeguarded secant on the closed-form profit derivative (DESIGN.md
-  /// §12), with bisection fallback across rationing kinks. Used by the
-  /// solver after the first sweep, when the previous sweep's response
-  /// brackets the new one.
+  /// never pin the search to a wrong basin. When the bracket spans the
+  /// rationing kink (capped left end, uncapped right end) the kink equation
+  /// s·D(p̄) = cap is solved by safeguarded Newton; the kink is the answer
+  /// when the uncapped profit slope just right of it is ≤ 0, and otherwise
+  /// Illinois false position on the closed-form derivative continues on the
+  /// smooth uncapped side (DESIGN.md §12). Used by the solver after the
+  /// first sweep, when the previous sweep's response brackets the new one.
   [[nodiscard]] best_response best_response_local(
       std::size_t m, std::span<const double> prices, double center,
       double halfwidth, double tol) const;
@@ -138,6 +161,17 @@ class multi_msp_market {
   /// path against it.
   [[nodiscard]] double best_response_price_reference(
       std::size_t m, std::span<const double> prices) const;
+
+  /// Demand curve value and slope at an effective price: D = A_i/p̄ − K_i
+  /// and D' = −A_i/p̄² over the active suffix i (one shared lookup); both 0
+  /// when no VMU buys. The value is bitwise `total_demand`; the slope feeds
+  /// the closed-form profit derivatives of the local search and the joint
+  /// Newton system.
+  struct demand_point {
+    double demand = 0.0;
+    double slope = 0.0;
+  };
+  [[nodiscard]] demand_point demand_at(double p_eff) const;
 
  private:
   /// Cached single-seller view of the softmin: rivals' total weight and
@@ -163,16 +197,6 @@ class multi_msp_market {
   };
   [[nodiscard]] rival_cache cache_rivals(std::size_t m,
                                          std::span<const double> prices) const;
-
-  /// Demand curve value and slope at an effective price: D = A_i/p̄ − K_i
-  /// and D' = −A_i/p̄² over the active suffix i (one shared lookup). The
-  /// value is bitwise `total_demand`; the slope feeds the closed-form profit
-  /// derivative of the local best-response search.
-  struct demand_point {
-    double demand = 0.0;
-    double slope = 0.0;
-  };
-  [[nodiscard]] demand_point demand_at(double p_eff) const;
 
   multi_msp_params params_;
   wireless::link_budget link_;
@@ -204,7 +228,13 @@ struct multi_msp_equilibrium {
   double damping = 1.0;            ///< Final relaxation factor θ.
   bool certified = false;          ///< converged && q < 1.
   bool warm_started = false;       ///< Initialized from a warm-start vector.
-  std::size_t objective_evals = 0; ///< Total best-response objective calls.
+  /// Objective calls: every best-response probe, plus one per free seller
+  /// row for each evaluation of the joint Newton system.
+  std::size_t objective_evals = 0;
+  std::size_t newton_steps = 0;    ///< Joint Newton steps taken (<= 3).
+  /// A warm-start Newton attempt was rejected and the dampened iteration
+  /// finished the solve.
+  bool fallback = false;
 };
 
 /// Tuning knobs for `solve_price_competition`.
@@ -219,21 +249,19 @@ struct price_competition_options {
   /// Index of a seller whose price is held fixed at its initial value
   /// (learned pricing seat); `no_pin` iterates every seller.
   std::size_t pinned = no_pin;
-  /// Initial relaxation factor θ ∈ (0, 1]; halved (down to 1/64) whenever
-  /// the contraction ratio stalls near 1 (Edgeworth cycling).
-  double damping = 1.0;
 };
 
-/// Dampened simultaneous best-response iteration with a contraction-ratio
-/// certificate: p ← p + θ(BR(p) − p), θ bisected on stall. Converges
-/// deterministically for smoothed shares, including sharp-λ/binding-cap
-/// configs that cycle under pure Gauss–Seidel. Requires tol > 0.
+/// Price-competition equilibrium with a contraction-ratio certificate.
+/// A warm start first tries the active-set Newton solve described at the
+/// top of this header; otherwise (and on its rejection) the dampened
+/// simultaneous best-response iteration p ← p + θ(BR(p) − p) runs, θ halved
+/// from 1 on Edgeworth cycling and Anderson(1)-accelerated while
+/// contracting. Deterministic; the dampening settles the sharp-λ/binding-cap
+/// configs that cycle under pure Gauss–Seidel, though with every cap binding
+/// at λ ≈ 2 the iteration can still crawl to `max_sweeps` (converged =
+/// false, prices still valid). Requires tol > 0.
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
-    const multi_msp_market& market, const price_competition_options& options);
-
-/// Legacy entry point: cold start, no pin, full step.
-[[nodiscard]] multi_msp_equilibrium solve_price_competition(
-    const multi_msp_market& market, double tol = 1e-7,
-    std::size_t max_sweeps = 200);
+    const multi_msp_market& market,
+    const price_competition_options& options = {});
 
 }  // namespace vtm::core

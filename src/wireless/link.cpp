@@ -24,6 +24,10 @@ link_budget::link_budget(const link_params& params) : params_(params) {
   VTM_ENSURES(noise_watt_ > 0.0);
   snr_ = tx_watt_ * gain_ / noise_watt_;
   spectral_efficiency_ = std::log2(1.0 + snr_);
+  // Finite inputs can still overflow (4000 dBm: inf) or underflow (a 1e200 m
+  // link: 0) the linear chain; either would make transfer times 0 or inf.
+  VTM_ENSURES(std::isfinite(spectral_efficiency_) &&
+              spectral_efficiency_ > 0.0);
 }
 
 double link_budget::rate_mbps(double bandwidth_mhz) const {

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/competitive_market.hpp"
@@ -20,6 +22,7 @@
 #include "sim/mobility.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace core = vtm::core;
 namespace rl = vtm::rl;
@@ -620,4 +623,31 @@ TEST(competitive_market, second_clearing_warm_starts_to_the_cold_answer) {
   ASSERT_EQ(cold.prices.size(), warm.prices.size());
   for (std::size_t m = 0; m < warm.prices.size(); ++m)
     EXPECT_NEAR(warm.prices[m], cold.prices[m], 1e-5);
+}
+
+// The clearing span carries the certificate, the Newton cost and the
+// grant/deferral counts — ten args, none dropped by the span's fixed arg
+// capacity.
+TEST(competitive_market, clearing_span_carries_every_arg) {
+  vtm::util::trace_session session;
+  session.ensure_lanes(1);
+  core::competitive_market_config config;
+  config.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{40.0}}, {vtm::util::meters{0.0}, 6.0, 50.0, vtm::util::megahertz{40.0}}};
+  config.trace = session.lane(0);
+  const std::vector<double> available{40.0, 40.0};
+
+  core::competitive_market market(config);
+  vtm::util::rng cohorts(20260812);
+  for (std::size_t v = 0; v < 12; ++v) {
+    market.submit(draw_request(cohorts, v));
+    if (v % 6 == 5) (void)market.clear(available);
+  }
+  std::ostringstream out;
+  session.write_chrome_json(out);
+  const std::string json = out.str();
+  for (const char* key :
+       {"cohort", "sweeps", "objective_evals", "newton_steps", "fallback",
+        "residual", "warm_started", "converged", "granted", "deferred"})
+    EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos)
+        << key;
 }

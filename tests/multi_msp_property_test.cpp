@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -213,10 +214,10 @@ TEST(multi_msp_property, warm_start_reaches_the_cold_equilibrium) {
     params.share_sharpness = gen.uniform(0.05, 1.0);
     const core::multi_msp_market market(params);
 
-    const auto cold = core::solve_price_competition(market, 1e-7, 200);
+    const auto cold = core::solve_price_competition(market);
     if (!cold.converged) continue;
     EXPECT_FALSE(cold.warm_started);
-    const auto again = core::solve_price_competition(market, 1e-7, 200);
+    const auto again = core::solve_price_competition(market);
     EXPECT_EQ(cold.prices, again.prices);  // no hidden state, bitwise rerun
 
     std::vector<double> warm(cold.prices);
@@ -243,7 +244,7 @@ TEST(multi_msp_property, convergence_certificate_is_sound) {
     auto params = draw_params(gen, msps);
     params.share_sharpness = gen.uniform(0.05, 1.0);
     const core::multi_msp_market market(params);
-    const auto eq = core::solve_price_competition(market, 1e-7, 200);
+    const auto eq = core::solve_price_competition(market);
     if (!eq.converged) continue;
     EXPECT_LE(eq.residual, 1e-7);
     if (eq.certified) {
@@ -258,6 +259,122 @@ TEST(multi_msp_property, convergence_certificate_is_sound) {
     }
   }
   EXPECT_GT(certified_seen, 10);  // the certificate actually fires
+}
+
+// ---- Kink solve and joint Newton vs the reference oracle (DESIGN.md §12) ---
+
+// A seller whose cap binds hard best-responds exactly at its rationing kink:
+// the local search's Newton kink solve must land where the reference grid +
+// golden-section oracle does, and report the kink.
+TEST(multi_msp_property, kink_best_response_matches_the_reference_oracle) {
+  core::multi_msp_params params;
+  params.msps = {{5.0, 2.0, 50.0}, {5.0, 40.0, 50.0}, {6.0, 40.0, 50.0}};
+  params.vmus = {{2000.0, 100.0}, {2400.0, 150.0}, {1500.0, 120.0}};
+  const core::multi_msp_market market(params);
+  const std::vector<double> prices{20.0, 22.0, 24.0};
+  const auto local = market.best_response_local(0, prices, 20.0, 1.0, 1e-10);
+  EXPECT_EQ(local.kind, core::multi_msp_market::response_kind::kink);
+  EXPECT_NEAR(local.price, market.best_response_price_reference(0, prices),
+              1e-6);
+  // On the kink, unrationed sales equal the cap.
+  std::vector<double> at(prices);
+  at[0] = local.price;
+  const double unrationed =
+      market.shares(at)[0] * market.total_demand(market.effective_price(at));
+  EXPECT_NEAR(unrationed, params.msps[0].bandwidth_cap_mhz, 1e-6);
+}
+
+namespace {
+
+enum class caps { all, some, none };
+
+// A cohort of `vmus` buyers facing `msps` sellers whose caps bind for all,
+// some or none of them: binding caps sit well below an equal split of the
+// demand at the sellers' mid prices, slack ones far above it.
+core::multi_msp_params draw_cohort(vtm::util::rng& gen, std::size_t msps,
+                                   std::size_t vmus, double lambda,
+                                   caps binding) {
+  core::multi_msp_params params;
+  params.share_sharpness = lambda;
+  for (std::size_t n = 0; n < vmus; ++n)
+    params.vmus.push_back({gen.uniform(300.0, 3000.0),
+                           gen.uniform(50.0, 400.0)});
+  for (std::size_t m = 0; m < msps; ++m) {
+    core::msp_profile msp;
+    msp.unit_cost = gen.uniform(3.0, 8.0);
+    msp.price_cap = msp.unit_cost + gen.uniform(30.0, 50.0);
+    params.msps.push_back(msp);
+  }
+  const core::multi_msp_market probe(params);
+  const double split =
+      probe.total_demand(25.0) / static_cast<double>(msps);
+  for (std::size_t m = 0; m < msps; ++m) {
+    const bool binds =
+        binding == caps::all || (binding == caps::some && m % 2 == 0);
+    params.msps[m].bandwidth_cap_mhz =
+        binds ? split * gen.uniform(0.2, 0.6) : 1e4;
+  }
+  return params;
+}
+
+}  // namespace
+
+// Differential test of the warm path: the previous cohort's fixed point,
+// perturbed, warm-starts the next cohort (one buyer replaced). Across
+// M ∈ {2..8}, λ ∈ {0.1, 0.25, 2}, caps binding for all/some/none of the
+// sellers, with and without a pinned seat, the result must be certified and
+// every unpinned seller must sit on its reference best response — whether
+// the Newton solve was accepted or the dampened iteration finished.
+TEST(multi_msp_property, warm_newton_matches_the_reference_oracle) {
+  vtm::util::rng gen(20261020);
+  std::size_t solves = 0;
+  std::size_t accepted = 0;
+  for (std::size_t msps = 2; msps <= 8; ++msps) {
+    for (const double lambda : {0.1, 0.25, 2.0}) {
+      for (const caps binding : {caps::all, caps::some, caps::none}) {
+        for (const bool pin : {false, true}) {
+          auto params = draw_cohort(gen, msps, 9, lambda, binding);
+          // The previous clearing's prices, converged or not, seed this one.
+          const auto previous =
+              core::solve_price_competition(core::multi_msp_market(params));
+          params.vmus[gen.uniform_int(0, 8)] = {gen.uniform(300.0, 3000.0),
+                                                gen.uniform(50.0, 400.0)};
+          const core::multi_msp_market market(params);
+          std::vector<double> warm(previous.prices);
+          for (double& p : warm) p *= gen.uniform(0.98, 1.02);
+          core::price_competition_options options;
+          options.warm_start = warm;
+          if (pin)
+            options.pinned = static_cast<std::size_t>(
+                gen.uniform_int(0, static_cast<std::int64_t>(msps) - 1));
+          const auto eq = core::solve_price_competition(market, options);
+          const auto label = ::testing::Message()
+                             << "M=" << msps << " lambda=" << lambda
+                             << " caps=" << static_cast<int>(binding)
+                             << " pin=" << pin;
+          ASSERT_TRUE(eq.converged) << label;
+          EXPECT_TRUE(eq.certified) << label;
+          EXPECT_TRUE(std::isfinite(eq.error_bound)) << label;
+          EXPECT_LE(eq.newton_steps, 3u) << label;
+          ++solves;
+          if (!eq.fallback && eq.newton_steps > 0) ++accepted;
+          for (std::size_t m = 0; m < msps; ++m) {
+            if (m == options.pinned) {
+              EXPECT_EQ(eq.prices[m], std::clamp(warm[m],
+                                                 params.msps[m].unit_cost,
+                                                 params.msps[m].price_cap));
+              continue;
+            }
+            EXPECT_NEAR(market.best_response_price_reference(m, eq.prices),
+                        eq.prices[m], 5e-6)
+                << label << " m=" << m;
+          }
+        }
+      }
+    }
+  }
+  // The Newton path, not only the fallback, carries most warm solves.
+  EXPECT_GT(accepted, solves / 2);
 }
 
 // ---- Edgeworth-cycle regression (DESIGN.md §12) ----------------------------
@@ -297,7 +414,7 @@ TEST(multi_msp_property, edgeworth_cycle_converges_certified_under_dampening) {
   }
   EXPECT_FALSE(gauss_seidel_converged);
 
-  const auto eq = core::solve_price_competition(market, 1e-7, 200);
+  const auto eq = core::solve_price_competition(market);
   ASSERT_TRUE(eq.converged);
   EXPECT_TRUE(eq.certified);
   EXPECT_LT(eq.damping, 1.0);  // the θ-bisection engaged

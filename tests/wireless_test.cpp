@@ -62,6 +62,18 @@ TEST(link_budget, rejects_non_finite_parameters) {
   }
 }
 
+// Finite inputs can still overflow or underflow the linear chain: a 4000 dBm
+// transmitter gives an infinite SNR (spectral efficiency inf, transfer time
+// 0) and a 1e200 m link a zero one (efficiency 0, transfer time inf).
+TEST(link_budget, rejects_finite_inputs_that_overflow_the_linear_chain) {
+  w::link_params loud;
+  loud.tx_power_dbm = vtm::util::dbm{4000.0};
+  EXPECT_THROW((void)w::link_budget{loud}, vtm::util::contract_error);
+  w::link_params remote;
+  remote.distance_m = vtm::util::meters{1e200};
+  EXPECT_THROW((void)w::link_budget{remote}, vtm::util::contract_error);
+}
+
 TEST(link_budget, transfer_seconds_inverse_in_bandwidth) {
   const w::link_budget link(w::link_params{});
   const double t1 = link.transfer_seconds(8.0e8, 1.0e6);
